@@ -98,7 +98,7 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trials", type=int, default=25, help="random trials per property")
     parser.add_argument(
         "--state-cap", type=int, default=DEFAULT_STATE_CAP,
-        help="realized solver state cap before branch-and-bound fallback",
+        help="cap on the search states remembered as too costly",
     )
     parser.add_argument(
         "--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP,

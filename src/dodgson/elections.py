@@ -84,10 +84,6 @@ class PreferenceOrder:
     def position(self, name: str) -> int:
         return self.ranking.index(name)
 
-    def prefers(self, a: str, b: str) -> bool:
-        """True when ``a`` is strictly preferred to ``b``."""
-        return self.position(a) > self.position(b)
-
     def switched(self, position: int) -> "PreferenceOrder":
         """Exchange the entries at ``position`` and ``position + 1``."""
         if not 0 <= position < len(self.ranking) - 1:
@@ -147,14 +143,6 @@ class VoterProfile:
         for order, mult in self.groups:
             for _ in range(mult):
                 yield order
-
-    def order_at(self, voter_index: int) -> PreferenceOrder:
-        offset = 0
-        for order, mult in self.groups:
-            if voter_index < offset + mult:
-                return order
-            offset += mult
-        raise IndexError(f"voter index {voter_index} out of range for {self.n} voters")
 
 
 def apply_switch(profile: VoterProfile, voter_index: int, position: int) -> VoterProfile:

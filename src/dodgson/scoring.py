@@ -1,15 +1,13 @@
 """Exact Dodgson scoring and the decision problems built on it.
 
-Three independent routes to the same quantity:
+Two independent routes to the same quantity:
 
-* :func:`score_exact` — optimisation over raise allocations (the designated
-  candidate only ever moves upward), exact and witness-producing.  The solver
-  is a sparse dynamic program over the vector of residual positive deficits,
-  with a branch-and-bound fallback when the realized state space exceeds a
-  configurable cap.
-* :func:`score_decision` — budget-limited search that never explores
-  allocations costing more than the budget, so it stays usable on elections
-  far too large to score outright.
+* One exact search over raise allocations (the designated candidate only ever
+  moves upward): a budget-limited depth-first search with an explicit stack,
+  an admissible per-opponent bound and a failure memo.  :func:`score_decision`
+  and the decisions built on it run it once at their budget;
+  :func:`score_exact` runs it at rising budgets from the root bound, and the
+  first budget that admits a cover is the score and gives the witness.
 * :func:`score_oracle` — breadth-first search over whole profiles using the
   literal one-adjacent-exchange-anywhere edge relation.  This is the ground
   truth the raise-only model is validated against, at small scale.
@@ -20,7 +18,9 @@ lexicographically smallest per-voter raises vector under flat voter order.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from math import inf
 from typing import Sequence
 
 from .elections import (
@@ -82,7 +82,6 @@ class _CoverProblem:
     coords: tuple[str, ...]
     start: tuple[int, ...]
     voters: tuple[_Voter, ...]
-    n: int
 
 
 def _cover_problem(triple: DodgsonTriple, tally: PairwiseTally | None = None) -> _CoverProblem:
@@ -109,7 +108,7 @@ def _cover_problem(triple: DodgsonTriple, tally: PairwiseTally | None = None) ->
             frozen = tuple(options)
             voters.extend(_Voter(flat + copy, frozen) for copy in range(mult))
         flat += mult
-    return _CoverProblem(coords, start, tuple(voters), election.n)
+    return _CoverProblem(coords, start, tuple(voters))
 
 
 def _hit(state: tuple[int, ...], gains: tuple[int, ...]) -> tuple[int, ...]:
@@ -122,176 +121,117 @@ def _hit(state: tuple[int, ...], gains: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(pending)
 
 
-def _within_budget(problem: _CoverProblem, budget: int) -> _CoverProblem:
-    """Drop raise options (and thereby voters) costing more than ``budget``.
+class _CoverSearch:
+    """Budget-limited depth-first search for a cover of one problem.
 
-    No allocation of total cost <= budget can use them, so optima, witnesses
-    and decisions are unaffected; dropped voters are pinned to raise 0.
+    Voters are visited in flat order and each voter's options in ascending
+    cost, on an explicit stack, so the first cover found at budget k is the
+    lexicographically smallest raises vector of cost <= k.  The pass tables
+    and the failure memo depend only on the problem, so they are shared by
+    every budget tried on it.
     """
-    kept = []
-    for voter in problem.voters:
-        options = tuple(opt for opt in voter.options if opt[0] <= budget)
-        if len(options) > 1:
-            kept.append(voter if len(options) == len(voter.options) else _Voter(voter.flat_index, options))
-    return _CoverProblem(problem.coords, problem.start, tuple(kept), problem.n)
 
+    def __init__(self, problem: _CoverProblem, state_cap: int):
+        self.problem = problem
+        self.state_cap = state_cap
+        # (voter, residual) -> largest budget proven too small from there.
+        self.failed: dict[tuple[int, tuple[int, ...]], float] = {}
+        # passes[g]: (cost, ascending voter indices passing g at that cost),
+        # ascending by cost.
+        passes: list[dict[int, list[int]]] = [{} for _ in problem.coords]
+        for vi, voter in enumerate(problem.voters):
+            seen = 0
+            for cost, gains in voter.options[1:]:
+                for g in gains[seen:]:
+                    passes[g].setdefault(cost, []).append(vi)
+                seen = len(gains)
+        self.passes = [sorted(levels.items()) for levels in passes]
 
-def _greedy_cover(problem: _CoverProblem) -> tuple[int, dict[int, int]]:
-    """A feasible allocation used as the initial upper bound.
+    def lower(self, i: int, state: tuple[int, ...], left: float = inf) -> float:
+        """Admissible lower bound on covering ``state`` with voters ``i..``.
 
-    Picks the most cost-effective (voter, raise) repeatedly, falls back to
-    maximal raises if stranded (always feasible: raising the candidate to the
-    top of every voter makes it unanimously preferred), then shrinks choices
-    voter by voter.  Returns (cost, {flat_index: raise}).
-    """
-    residual = list(problem.start)
-    remaining = sum(residual)
-    chosen: dict[int, tuple[int, tuple[int, ...]]] = {}
-    available = set(range(len(problem.voters)))
-    while remaining:
-        best = None
-        for vi in sorted(available):
-            for cost, gains in problem.voters[vi].options[1:]:
-                units = sum(1 for g in gains if residual[g] > 0)
-                if units == 0:
-                    continue
-                key = (cost / units, cost, vi)
-                if best is None or key < best[0]:
-                    best = (key, vi, cost, gains)
-        if best is None:
-            chosen = {vi: problem.voters[vi].options[-1] for vi in range(len(problem.voters))}
-            break
-        _, vi, cost, gains = best
-        chosen[vi] = (cost, gains)
-        available.discard(vi)
-        for g in gains:
-            if residual[g] > 0:
-                residual[g] -= 1
-                remaining -= 1
-    # Shrink pass: replace each choice by its smallest raise that keeps the
-    # whole allocation covering.
-    cover = [0] * len(problem.coords)
-    for cost, gains in chosen.values():
-        for g in gains:
-            cover[g] += 1
-    for vi in sorted(chosen, reverse=True):
-        old_cost, old_gains = chosen[vi]
-        for cost, gains in problem.voters[vi].options:
-            if cost >= old_cost:
+        The memo's proven bound, else the larger of the residual deficit sum
+        (one switch gains one vote) and, per opponent g with residual r, the r
+        cheapest passes of g among the remaining voters (each voter passes g
+        at most once); inf when fewer than r of them can pass g.  Stops early
+        once the bound exceeds ``left``.
+        """
+        if i == len(self.problem.voters):
+            return inf
+        prior = self.failed.get((i, state))
+        if prior is not None and left <= prior:
+            return prior + 1
+        best = sum(state)
+        for g, need in enumerate(state):
+            if best > left:
                 break
-            dropped = set(old_gains) - set(gains)
-            if all(cover[g] - 1 >= problem.start[g] for g in dropped):
-                for g in dropped:
-                    cover[g] -= 1
-                chosen[vi] = (cost, gains)
-                break
-    allocation = {
-        problem.voters[vi].flat_index: cost for vi, (cost, _) in chosen.items() if cost
-    }
-    return sum(allocation.values()), allocation
+            if not need:
+                continue
+            total = 0
+            for cost, where in self.passes[g]:
+                take = min(need, len(where) - bisect_left(where, i))
+                total += take * cost
+                need -= take
+                if not need:
+                    break
+            if need:
+                return inf
+            best = max(best, total)
+        return best
 
+    def cover(self, budget: int) -> dict[int, int] | None:
+        """First cover of cost <= ``budget`` as {flat_index: raise}, or None.
 
-def _solve_dp(
-    problem: _CoverProblem, upper: int, state_cap: int
-) -> tuple[int, dict[int, int]] | None:
-    """Layered sparse DP over residual deficit vectors.
-
-    Returns None when the realized state space exceeds ``state_cap``; the
-    caller then falls back to branch and bound.  States on any allocation of
-    total cost <= upper survive the admissible prune, so the optimum and a
-    lexicographically smallest witness are always recoverable.
-    """
-    zero = (0,) * len(problem.coords)
-    layers: list[dict[tuple[int, ...], int]] = [{problem.start: 0}]
-    total_states = 1
-    for voter in problem.voters:
-        current = layers[-1]
-        nxt: dict[tuple[int, ...], int] = {}
-        for state, cost in current.items():
-            for ocost, gains in voter.options:
-                ncost = cost + ocost
-                nstate = _hit(state, gains) if ocost else state
-                if ncost + sum(nstate) > upper:
-                    continue
-                old = nxt.get(nstate)
-                if old is None or ncost < old:
-                    nxt[nstate] = ncost
-        total_states += len(nxt)
-        if total_states > state_cap:
+        A failure leaves the root's proven bound in the memo (within the cap).
+        """
+        voters = self.problem.voters
+        start = self.problem.start
+        if self.lower(0, start, budget) > budget:
             return None
-        layers.append(nxt)
-    optimum = layers[-1].get(zero)
-    assert optimum is not None, "upper bound came from a feasible allocation"
-    # Backward cost-to-go over the stored layers, then a forward walk taking
-    # the smallest raise at each voter: the lexicographically least witness.
-    cost_to_go: list[dict[tuple[int, ...], int]] = [dict() for _ in layers]
-    cost_to_go[-1] = {zero: 0}
-    for li in range(len(problem.voters) - 1, -1, -1):
-        voter = problem.voters[li]
-        later = cost_to_go[li + 1]
-        here: dict[tuple[int, ...], int] = {}
-        for state in layers[li]:
-            best = None
-            for ocost, gains in voter.options:
-                rest = later.get(_hit(state, gains) if ocost else state)
-                if rest is not None and (best is None or ocost + rest < best):
-                    best = ocost + rest
-            if best is not None:
-                here[state] = best
-        cost_to_go[li] = here
-    allocation: dict[int, int] = {}
-    state = problem.start
-    for li, voter in enumerate(problem.voters):
-        target = cost_to_go[li][state]
-        for ocost, gains in voter.options:
-            nstate = _hit(state, gains) if ocost else state
-            rest = cost_to_go[li + 1].get(nstate)
-            if rest is not None and ocost + rest == target:
-                if ocost:
-                    allocation[voter.flat_index] = ocost
-                state = nstate
-                break
-    return optimum, allocation
-
-
-def _solve_bnb(problem: _CoverProblem, upper: int) -> tuple[int, dict[int, int]]:
-    """Depth-first branch and bound over voters in flat order.
-
-    Admissible bound: any completion needs at least the residual deficit sum,
-    because one switch gains at most one vote over one candidate.  Options are
-    explored ascending by cost, so the first solution recorded at the final
-    optimum is the lexicographically smallest witness.
-    """
-    voters = problem.voters
-    best_cost = upper
-    best_alloc: dict[int, int] | None = None
-
-    def descend(i: int, state: tuple[int, ...], rsum: int, cost: int, trail: list[tuple[int, int]]):
-        nonlocal best_cost, best_alloc
-        if rsum == 0:
-            if cost < best_cost or best_alloc is None:
-                best_cost = cost
-                best_alloc = dict(trail)
-            return
-        if i == len(voters) or cost + rsum > best_cost:
-            return
-        voter = voters[i]
-        for ocost, gains in voter.options:
-            if cost + ocost + max(rsum - len(gains), 0) > best_cost:
-                break
-            nstate = _hit(state, gains) if ocost else state
-            nrsum = sum(nstate)
-            if ocost and nrsum == rsum:
-                continue  # pure waste can never be optimal
-            if ocost:
-                trail.append((voter.flat_index, ocost))
-            descend(i + 1, nstate, nrsum, cost + ocost, trail)
-            if ocost:
-                trail.pop()
-
-    descend(0, problem.start, sum(problem.start), 0, [])
-    assert best_alloc is not None
-    return best_cost, best_alloc
+        # One frame per voter on the current path: [residual, its sum, budget
+        # left, index of the next option, least lower bound over the options
+        # tried so far].
+        stack = [[start, sum(start), budget, 0, inf]]
+        while stack:
+            i = len(stack) - 1
+            frame = stack[-1]
+            state, rsum, left, k, best = frame
+            options = voters[i].options
+            child = None
+            while k < len(options):
+                ocost, gains = options[k]
+                if ocost > left:
+                    best = min(best, ocost)  # later options cost even more
+                    k = len(options)
+                    break
+                k += 1
+                nstate = _hit(state, gains) if ocost else state
+                nrsum = sum(nstate)
+                if ocost and nrsum == rsum:
+                    continue  # pure waste, never cheaper than option 0
+                if nrsum == 0:
+                    frame[3] = k
+                    return {
+                        voters[d].flat_index: voters[d].options[f[3] - 1][0]
+                        for d, f in enumerate(stack)
+                        if f[3] > 1
+                    }
+                need = self.lower(i + 1, nstate, left - ocost)
+                if need <= left - ocost:
+                    child = [nstate, nrsum, left - ocost, 0, inf]
+                    break
+                best = min(best, ocost + need)
+            frame[3], frame[4] = k, best
+            if child is not None:
+                stack.append(child)
+                continue
+            stack.pop()
+            if len(self.failed) < self.state_cap:
+                self.failed[(i, state)] = best - 1
+            if stack:
+                parent = stack[-1]
+                parent[4] = min(parent[4], voters[i - 1].options[parent[3] - 1][0] + best)
+        return None
 
 
 def _score_exact(
@@ -301,13 +241,15 @@ def _score_exact(
     n = triple.election.n
     if not problem.coords:
         return ScoreResult(0, (0,) * n)
-    upper, _ = _greedy_cover(problem)
-    problem = _within_budget(problem, upper)
-    solved = _solve_dp(problem, upper, state_cap)
-    if solved is None:
-        solved = _solve_bnb(problem, upper)
-    score, allocation = solved
-    return ScoreResult(score, tuple(allocation.get(i, 0) for i in range(n)))
+    search = _CoverSearch(problem, state_cap)
+    # Raising the designated candidate to the top of every voter is a cover,
+    # so the bound is finite and some budget succeeds.  A failed budget
+    # leaves the root's proven bound in the memo, so the next try can skip
+    # budgets already ruled out.
+    budget = search.lower(0, problem.start)
+    while (allocation := search.cover(budget)) is None:
+        budget = max(budget + 1, search.lower(0, problem.start, budget + 1))
+    return ScoreResult(budget, tuple(allocation.get(i, 0) for i in range(n)))
 
 
 def score_exact(triple: DodgsonTriple, *, state_cap: int = DEFAULT_STATE_CAP) -> ScoreResult:
@@ -330,33 +272,7 @@ def _score_at_most(
         return True
     if sum(problem.start) > budget:
         return False
-    problem = _within_budget(problem, budget)
-    voters = problem.voters
-    failed: dict[tuple[int, tuple[int, ...]], int] = {}
-
-    def covers(i: int, state: tuple[int, ...], rsum: int, left: int) -> bool:
-        if rsum == 0:
-            return True
-        if i == len(voters) or rsum > left:
-            return False
-        key = (i, state)
-        prior = failed.get(key)
-        if prior is not None and left <= prior:
-            return False
-        for ocost, gains in voters[i].options:
-            if ocost > left:
-                break
-            nstate = _hit(state, gains) if ocost else state
-            nrsum = sum(nstate)
-            if ocost and nrsum == rsum:
-                continue
-            if covers(i + 1, nstate, nrsum, left - ocost):
-                return True
-        if len(failed) < memo_cap:
-            failed[key] = max(prior if prior is not None else -1, left)
-        return False
-
-    return covers(0, problem.start, sum(problem.start), budget)
+    return _CoverSearch(problem, memo_cap).cover(budget) is not None
 
 
 def score_decision(

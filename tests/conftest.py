@@ -1,3 +1,6 @@
+import signal
+from contextlib import contextmanager
+
 import pytest
 
 from dodgson import DodgsonTriple, Election, PreferenceOrder, VoterProfile
@@ -13,6 +16,27 @@ def election(candidates: str, *orders: str, mults=None) -> Election:
         (order(text), 1 if mults is None else mults[i]) for i, text in enumerate(orders)
     )
     return Election(names, VoterProfile(groups))
+
+
+class TimeLimitExceeded(BaseException):
+    """Raised by :func:`time_limit`; a BaseException, so that no handler in
+    the code under test can turn it into an ordinary error exit."""
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """Fail the enclosed block once ``seconds`` pass."""
+
+    def expire(signum, frame):
+        raise TimeLimitExceeded(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def chain_triple(*names: str) -> DodgsonTriple:

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from dodgson import parse_election, score_exact, DodgsonTriple
+from dodgson import parse_election, score_exact, DodgsonTriple, merge, serialize_election
 from dodgson.cli import main
+
+from conftest import time_limit
 
 CYCLE = "candidates: a b c\n1: a<b<c\n1: b<c<a\n1: c<a<b\n"
 UNANIMOUS = "candidates: a b c\n3: a<b<c\n"
@@ -37,6 +39,28 @@ def test_score_at_most_false_exits_one(files, capsys):
     assert main(["score", files["cycle.dodg"], "-c", "c", "--at-most", "0"]) == 1
     assert capsys.readouterr().out == "false\n"
     assert main(["score", files["cycle.dodg"], "-c", "c", "--at-most", "1"]) == 0
+
+
+def test_score_at_most_on_many_voters(tmp_path, capsys):
+    # 3,001 voters: one search layer per voter
+    path = tmp_path / "two.dodg"
+    path.write_text("candidates: a b\n2001: b<a\n1000: a<b\n")
+    with time_limit(10):
+        assert main(["score", str(path), "-c", "b", "--at-most", "600"]) == 0
+    assert capsys.readouterr().out == "true\n"
+
+
+def test_winner_on_merge_of_pair_and_cycle(tmp_path, capsys):
+    # 49 candidates and 8 voters, every one of them scored in full
+    merged = merge(
+        DodgsonTriple(parse_election("candidates: x y\n1: x<y\n"), "x"),
+        DodgsonTriple(parse_election(CYCLE), "a"),
+    )
+    path = tmp_path / "merged.dodg"
+    path.write_text(serialize_election(merged.election))
+    with time_limit(30):
+        assert main(["winner", str(path)]) == 0
+    assert capsys.readouterr().out.endswith("winners: c d\n")
 
 
 def test_score_unknown_candidate_exits_two(files, capsys):

@@ -11,8 +11,10 @@ from dodgson import (
     all_scores,
     apply_raises,
     condorcet_winner,
+    deficit_vector,
     dodgson_winners,
     is_winner,
+    merge,
     ranks_at_least,
     score_decision,
     score_exact,
@@ -21,7 +23,7 @@ from dodgson import (
     unit_chain,
 )
 
-from conftest import election
+from conftest import election, time_limit
 
 
 def triple(e: Election, name: str) -> DodgsonTriple:
@@ -145,9 +147,10 @@ def test_witness_is_deterministic(cycle):
     assert first.witness == (0, 0, 1)
 
 
-def test_dp_and_branch_and_bound_agree():
-    # state_cap=1 forces the branch-and-bound fallback; both paths must
-    # produce the same score and the same lexicographically least witness
+def test_memo_cap_does_not_change_answers():
+    # state_cap=1 lets the search remember a single failed state; the memo
+    # only prunes, so scores and lexicographically least witnesses must not
+    # depend on its size
     from dodgson.verify import random_election, trial_rng
 
     for i in range(25):
@@ -157,6 +160,34 @@ def test_dp_and_branch_and_bound_agree():
         for name in e.candidates:
             t = triple(e, name)
             assert score_exact(t) == score_exact(t, state_cap=1)
+
+
+def _brute_force_score_and_witness(t: DodgsonTriple) -> tuple[int, tuple[int, ...]]:
+    """Least (cost, raises vector) over every raise vector that makes the
+    designated candidate the Condorcet winner."""
+    room = [len(o.ranking) - 1 - o.position(t.designated) for o in t.election.profile.orders()]
+    return min(
+        (sum(raises), raises)
+        for raises in itertools.product(*(range(r + 1) for r in room))
+        if condorcet_winner(apply_raises(t, raises)) == t.designated
+    )
+
+
+def test_witness_is_lexicographically_least_by_brute_force():
+    from dodgson.verify import random_election, trial_rng
+
+    elections = [
+        Election(("a", "b", "c"), VoterProfile.from_orders(orders))
+        for voters in (1, 2, 3)
+        for orders in itertools.product(_ORDERS3, repeat=voters)
+    ]
+    for i in range(20):
+        elections.append(random_election(trial_rng(5, "brute-witness", i), tuple("abcd"), 4))
+    for e in elections:
+        for name in e.candidates:
+            t = triple(e, name)
+            result = score_exact(t)
+            assert (result.score, result.witness) == _brute_force_score_and_witness(t)
 
 
 def test_zero_law(cycle, unanimous):
@@ -208,3 +239,29 @@ def test_two_election_ranking_validation(cycle):
         two_election_ranking(DodgsonTriple(even, "a"), unit_chain(1))
     with pytest.raises(ValueError, match="differ"):
         two_election_ranking(triple(cycle, "a"), triple(cycle, "a"))
+
+
+# --- thousands of voters or dozens of candidates, under a time limit -----------------
+
+
+def test_many_voter_cycle_scores_within_time():
+    # 4,000 voters, one search layer per voter
+    e = election("a b c d", "a<b<c<d", "b<c<d<a", "c<d<a<b", "d<a<b<c", mults=[1000] * 4)
+    t = triple(e, "a")
+    with time_limit(10):
+        result = score_exact(t)
+        assert result.score == 1002
+        assert sum(result.witness) == 1002
+        assert condorcet_winner(apply_raises(t, result.witness)) == "a"
+        assert score_decision(t, 1002) is True
+        assert score_decision(t, 1001) is False
+        assert is_winner(t)
+
+
+def test_merge_separator_scores_its_deficit_sum(cycle):
+    # the separator's score meets the deficit-sum lower bound
+    merged = merge(DodgsonTriple(election("x y", "x<y"), "x"), triple(cycle, "a")).election
+    t = triple(merged, "t1")
+    assert sum(deficit_vector(t).values()) == 168
+    with time_limit(10):
+        assert score_exact(t).score == 168
