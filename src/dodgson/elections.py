@@ -30,7 +30,6 @@ __all__ = [
     "condorcet_winner",
     "apply_switch",
     "deficit_vector",
-    "deficits_from_tally",
     "parse_election",
     "serialize_election",
 ]
@@ -240,20 +239,18 @@ def condorcet_winner(election: Election) -> str | None:
     return None
 
 
-def deficits_from_tally(tally: PairwiseTally, designated: str) -> dict[str, int]:
-    """Votes still missing for ``designated`` to defeat each opponent."""
-    need = majority_threshold(tally.n)
-    return {
-        d: max(0, need - tally.votes[designated][d])
-        for d in tally.candidates
-        if d != designated
-    }
-
-
 def deficit_vector(triple: DodgsonTriple) -> dict[str, int]:
     """Per-opponent vote deficits; all zero exactly when the designated
     candidate is a Condorcet winner."""
-    return deficits_from_tally(pairwise_tally(triple.election), triple.designated)
+    election = triple.election
+    # above[d]: voters ranking d above the designated candidate, who may
+    # lose ``spare`` of those votes and still defeat d
+    above = dict.fromkeys(election.candidates, 0)
+    for order, mult in election.profile.groups:
+        for name in order.ranking[order.position(triple.designated) + 1:]:
+            above[name] += mult
+    spare = election.n - majority_threshold(election.n)
+    return {d: max(0, above[d] - spare) for d in election.candidates if d != triple.designated}
 
 
 def parse_election(text: str) -> Election:

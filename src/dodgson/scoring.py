@@ -3,35 +3,33 @@
 Two independent routes to the same quantity:
 
 * One exact search over raise allocations (the designated candidate only ever
-  moves upward): a budget-limited depth-first search with an explicit stack,
-  an admissible per-opponent bound and a failure memo.  :func:`score_decision`
-  and the decisions built on it run it once at their budget;
-  :func:`score_exact` runs it at rising budgets from the root bound, and the
-  first budget that admits a cover is the score and gives the witness.
+  moves upward).  It works on voter types, not voter copies: for each run of
+  identical voters (a :class:`VoterProfile` group) and each useful raise
+  level it chooses how many of the run's copies reach that level, the
+  variables of Bartholdi, Tovey & Trick (1989) that make the score easy for a
+  fixed number of candidates.  A budget-limited depth-first search with an
+  explicit stack tries these counts in ascending order, pruned by admissible
+  bounds and a failure memo.  :func:`score_decision` and the decisions built
+  on it run it once at their budget; :func:`score_exact` runs it at rising
+  budgets from the root bound, and the first budget that admits a cover is
+  the score and gives the witness.
 * :func:`score_oracle` — breadth-first search over whole profiles using the
   literal one-adjacent-exchange-anywhere edge relation.  This is the ground
   truth the raise-only model is validated against, at small scale.
 
 Everything here is pure and deterministic; witness ties are broken by the
-lexicographically smallest per-voter raises vector under flat voter order.
+lexicographically smallest per-voter raises vector under flat voter order, in
+which the copies of a group raise in ascending order.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import inf
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .elections import (
-    DodgsonTriple,
-    Election,
-    PairwiseTally,
-    VoterProfile,
-    deficits_from_tally,
-    majority_threshold,
-    pairwise_tally,
-)
+from .elections import DodgsonTriple, Election, VoterProfile, deficit_vector, majority_threshold
 
 __all__ = [
     "DEFAULT_STATE_CAP",
@@ -62,217 +60,332 @@ class ScoreResult:
     witness: RaiseAllocation
 
 
-@dataclass(frozen=True)
-class _Voter:
-    """One voter's useful raise options.
+class _Group(NamedTuple):
+    """A run of identical voters and its useful raise levels.
 
-    ``options`` is ascending by cost and always starts with ``(0, ())``.  An
-    option ``(j, gains)`` raises the designated candidate by ``j`` positions
-    and gains one vote over each listed deficit coordinate.  Raises whose top
-    candidate carries no deficit are dominated by the next smaller useful
-    raise, so they are omitted.
+    Level ``k`` raises the designated candidate by ``costs[k]`` positions and
+    passes the group's first ``k`` deficit opponents, ``coords[:k]``; level 0
+    costs nothing.  A raise whose top candidate carries no deficit is
+    dominated by the next smaller useful raise, so only these levels exist.
     """
 
-    flat_index: int
-    options: tuple[tuple[int, tuple[int, ...]], ...]
+    flat: int  # flat index of the group's first copy
+    mult: int
+    costs: tuple[int, ...]
+    coords: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class _CoverProblem:
     coords: tuple[str, ...]
     start: tuple[int, ...]
-    voters: tuple[_Voter, ...]
+    groups: tuple[_Group, ...]
 
 
-def _cover_problem(triple: DodgsonTriple, tally: PairwiseTally | None = None) -> _CoverProblem:
-    election = triple.election
-    if tally is None:
-        tally = pairwise_tally(election)
-    deficits = deficits_from_tally(tally, triple.designated)
+def _cover_problem(triple: DodgsonTriple) -> _CoverProblem:
+    deficits = deficit_vector(triple)
     coords = tuple(sorted(d for d, v in deficits.items() if v > 0))
     coord_index = {name: i for i, name in enumerate(coords)}
     start = tuple(deficits[name] for name in coords)
-    voters: list[_Voter] = []
+    groups: list[_Group] = []
     flat = 0
-    for order, mult in election.profile.groups:
+    for order, mult in triple.election.profile.groups:
         pos = order.position(triple.designated)
-        above = order.ranking[pos + 1:]
-        options: list[tuple[int, tuple[int, ...]]] = [(0, ())]
-        gains: list[int] = []
-        for j, name in enumerate(above, start=1):
+        costs, hits = [0], []
+        for j, name in enumerate(order.ranking[pos + 1:], start=1):
             idx = coord_index.get(name)
             if idx is not None:
-                gains.append(idx)
-                options.append((j, tuple(gains)))
-        if len(options) > 1:
-            frozen = tuple(options)
-            voters.extend(_Voter(flat + copy, frozen) for copy in range(mult))
+                costs.append(j)
+                hits.append(idx)
+        if hits:
+            groups.append(_Group(flat, mult, tuple(costs), tuple(hits)))
         flat += mult
-    return _CoverProblem(coords, start, tuple(voters))
-
-
-def _hit(state: tuple[int, ...], gains: tuple[int, ...]) -> tuple[int, ...]:
-    if not gains:
-        return state
-    pending = list(state)
-    for g in gains:
-        if pending[g]:
-            pending[g] -= 1
-    return tuple(pending)
+    return _CoverProblem(coords, start, tuple(groups))
 
 
 class _CoverSearch:
     """Budget-limited depth-first search for a cover of one problem.
 
-    Voters are visited in flat order and each voter's options in ascending
-    cost, on an explicit stack, so the first cover found at budget k is the
-    lexicographically smallest raises vector of cost <= k.  The pass tables
-    and the failure memo depend only on the problem, so they are shared by
-    every budget tried on it.
+    The search has one layer per (group, level).  At layer (g, j) it chooses
+    how many of the copies of group g that reached level j-1 go on to level
+    j, in ascending order; a frame with one copy left chooses that copy's
+    final level directly, as a search over single voters would.  Copies of a
+    group are interchangeable, so the least raises vector raises them in
+    ascending order, and that vector is fixed by the counts reaching each
+    level: leaving more copies at a lower level makes it smaller.  Ascending
+    counts, level by level and group by group, therefore meet covers in the
+    lexicographic order of their raises vectors, and the first cover found
+    at the score is the least optimal one.  Options are dropped only where a
+    strictly cheaper cover exists, which never happens at the score.  The
+    tables and the failure memo depend only on the problem, so every budget
+    tried on it shares them.
     """
 
     def __init__(self, problem: _CoverProblem, state_cap: int):
         self.problem = problem
         self.state_cap = state_cap
-        # (voter, residual) -> largest budget proven too small from there.
-        self.failed: dict[tuple[int, tuple[int, ...]], float] = {}
-        # passes[g]: (cost, ascending voter indices passing g at that cost),
-        # ascending by cost.
-        passes: list[dict[int, list[int]]] = [{} for _ in problem.coords]
-        for vi, voter in enumerate(problem.voters):
-            seen = 0
-            for cost, gains in voter.options[1:]:
-                for g in gains[seen:]:
-                    passes[g].setdefault(cost, []).append(vi)
-                seen = len(gains)
+        groups = problem.groups
+        # (layer, copies available, residual) -> largest budget proven too
+        # small from there.
+        self.failed: dict[tuple[int, int, tuple[int, ...]], float] = {}
+        # own[L]: for a layer inside its group, opponent x -> (cost of
+        # passing it above the level below L, whether that raise is free of
+        # waste); built when first needed.
+        self.own: dict[int, dict[int, tuple[int, bool]]] = {}
+        # layers[L] = (group, level); entry[g] = (first layer, copies) of
+        # group g, and entry[-1] = (end, 0).
+        self.layers: list[tuple[int, int]] = []
+        self.entry: list[tuple[int, int]] = []
+        # A bucket holds ascending groups and the prefix sums of their
+        # multiplicities.  passes[x]: (cost, bucket of the groups passing
+        # opponent x at that cost), ascending by cost; free[x]: bucket of the
+        # groups passing x without waste, that is at a cost equal to the
+        # opponents passed.
+        passes: list[dict[int, tuple[list[int], list[int]]]] = [{} for _ in problem.coords]
+        self.free = [([], [0]) for _ in problem.coords]
+        for g, grp in enumerate(groups):
+            self.entry.append((len(self.layers), grp.mult))
+            for k, x in enumerate(grp.coords, start=1):
+                self.layers.append((g, k))
+                buckets = [passes[x].setdefault(grp.costs[k], ([], [0]))]
+                if grp.costs[k] == k:
+                    buckets.append(self.free[x])
+                for where, cum in buckets:
+                    where.append(g)
+                    cum.append(cum[-1] + grp.mult)
+        self.entry.append((len(self.layers), 0))
         self.passes = [sorted(levels.items()) for levels in passes]
 
-    def lower(self, i: int, state: tuple[int, ...], left: float = inf) -> float:
-        """Admissible lower bound on covering ``state`` with voters ``i..``.
+    def lower(self, layer: int, avail: int, state: tuple[int, ...], left: float = inf) -> float:
+        """Admissible lower bound on covering ``state`` from ``layer`` on,
+        with ``avail`` copies of its group at the level below it.
 
-        The memo's proven bound, else the larger of the residual deficit sum
-        (one switch gains one vote) and, per opponent g with residual r, the r
-        cheapest passes of g among the remaining voters (each voter passes g
-        at most once); inf when fewer than r of them can pass g.  Stops early
-        once the bound exceeds ``left``.
+        The memo's proven bound, else the largest of:
+
+        * the residual deficit sum r (one switch passes one opponent);
+        * the efficient-supply bound: per opponent x with residual r_x, r
+          plus r_x - F_x, where F_x counts the remaining copies that can
+          pass x without waste, that is at a cost equal to the deficit
+          opponents passed.  A cover costs the passes it makes, at least r,
+          plus its waste, and every pass of x beyond F_x is made by a
+          different copy that wastes a switch.  For a set S of opponents
+          the same argument gives sum_S r_x <= E_S + |S| * slack, with E_S
+          the most members of S the copies pass without waste; a copy's
+          waste-free raises are a prefix of its levels, so E_S is the sum of
+          F_x over S and the single opponents imply every set.  It is
+          computed only where it can exceed ``left``;
+        * per opponent x, the cost of its r_x cheapest passes (each copy
+          passes x at most once); inf when fewer than r_x copies can.
+
+        Stops early once the bound exceeds ``left``.
         """
-        if i == len(self.problem.voters):
+        if layer == len(self.layers):
             return inf
-        prior = self.failed.get((i, state))
+        prior = self.failed.get((layer, avail, state))
         if prior is not None and left <= prior:
             return prior + 1
-        best = sum(state)
-        for g, need in enumerate(state):
+        g, j = self.layers[layer]
+        rsum = sum(state)
+        best = rsum
+        slack = left - rsum
+        if j == 1:
+            # whole groups from g on
+            cut, own = bisect_left, None
+        else:
+            cut, own = bisect_right, self.own.get(layer)
+            if own is None:
+                own = self.own[layer] = self.own_table(g, j)
+        for x, need in enumerate(state):
             if best > left:
                 break
             if not need:
                 continue
+            mine = own and own.get(x)
+            if need > slack:
+                where, cum = self.free[x]
+                free = cum[-1] - cum[cut(where, g)] + (avail if mine and mine[1] else 0)
+                if rsum + need - free > best:
+                    best = rsum + need - free
             total = 0
-            for cost, where in self.passes[g]:
-                take = min(need, len(where) - bisect_left(where, i))
+            for cost, (where, cum) in self.passes[x]:
+                if mine and mine[0] <= cost:
+                    # the group's own copies, at the level below this layer
+                    take = min(need, avail)
+                    total += take * mine[0]
+                    need -= take
+                    mine = None
+                    if not need:
+                        break
+                take = min(need, cum[-1] - cum[cut(where, g)])
                 total += take * cost
                 need -= take
                 if not need:
                     break
             if need:
                 return inf
-            best = max(best, total)
+            if total > best:
+                best = total
         return best
 
-    def cover(self, budget: int) -> dict[int, int] | None:
-        """First cover of cost <= ``budget`` as {flat_index: raise}, or None.
+    def supply_after(self, g: int, x: int) -> int:
+        """Copies in the groups after ``g`` that can pass opponent ``x``."""
+        return sum(cum[-1] - cum[bisect_right(where, g)] for _, (where, cum) in self.passes[x])
+
+    def own_table(self, g: int, j: int) -> dict[int, tuple[int, bool]]:
+        """``own[L]`` for layer (g, j)."""
+        costs, coords = self.problem.groups[g].costs, self.problem.groups[g].coords
+        return {
+            coords[i - 1]: (costs[i] - costs[j - 1], costs[i] - costs[j - 1] == i - j + 1)
+            for i in range(j, len(costs))
+        }
+
+    def frame(self, layer: int, avail: int, state: tuple[int, ...], rsum: int, left: int) -> list:
+        """A new frame: [layer, copies available, residual, its sum, budget
+        left, next option, last option, least lower bound over the options
+        tried so far, cost of the option being tried].
+
+        With one copy left an option is that copy's final level, from j-1
+        up.  Otherwise it is the count going on to level j: at least what the
+        group's opponents from level j up need beyond the later groups'
+        supply, and at most their largest residual (with more, the copy that
+        stops lowest could stop at level j-1 instead and the cover would
+        still hold, for less).
+        """
+        g, j = self.layers[layer]
+        grp = self.problem.groups[g]
+        if avail == 1:
+            return [layer, 1, state, rsum, left, j - 1, len(grp.coords), inf, 0]
+        tail = grp.coords[j - 1:]
+        lo = max(0, max(state[x] - self.supply_after(g, x) for x in tail))
+        hi = min(avail, max(state[x] for x in tail))
+        return [layer, avail, state, rsum, left, lo, hi, inf, 0]
+
+    def cover(self, budget: int) -> dict[int, list[int]] | None:
+        """First cover of cost <= ``budget`` as {group: copies reaching each
+        level}, or None.
 
         A failure leaves the root's proven bound in the memo (within the cap).
         """
-        voters = self.problem.voters
+        groups, layers, entry, lower = self.problem.groups, self.layers, self.entry, self.lower
         start = self.problem.start
-        if self.lower(0, start, budget) > budget:
+        layer, avail = entry[0]
+        if lower(layer, avail, start, budget) > budget:
             return None
-        # One frame per voter on the current path: [residual, its sum, budget
-        # left, index of the next option, least lower bound over the options
-        # tried so far].
-        stack = [[start, sum(start), budget, 0, inf]]
+        stack = [self.frame(layer, avail, start, sum(start), budget)]
         while stack:
-            i = len(stack) - 1
             frame = stack[-1]
-            state, rsum, left, k, best = frame
-            options = voters[i].options
+            layer, avail, state, rsum, left, k, hi, best, _ = frame
+            g, j = layers[layer]
+            _, _, costs, coords = groups[g]
+            paid = costs[j - 1]
             child = None
-            while k < len(options):
-                ocost, gains = options[k]
-                if ocost > left:
-                    best = min(best, ocost)  # later options cost even more
-                    k = len(options)
-                    break
+            while k <= hi:
+                option = k
                 k += 1
-                nstate = _hit(state, gains) if ocost else state
-                nrsum = sum(nstate)
-                if ocost and nrsum == rsum:
-                    continue  # pure waste, never cheaper than option 0
+                if avail == 1:
+                    ocost = costs[option] - paid
+                    if ocost > left:
+                        best = min(best, ocost)  # later options cost even more
+                        k = hi + 1
+                        break
+                    if option >= j and not state[coords[option - 1]]:
+                        continue  # its top pass is not needed: one level lower is cheaper
+                    pending = list(state)
+                    nrsum = rsum
+                    for x in coords[j - 1:option]:
+                        if pending[x]:
+                            pending[x] -= 1
+                            nrsum -= 1
+                    nstate = tuple(pending)
+                    nlayer, navail = entry[g + 1]
+                else:
+                    x = coords[j - 1]
+                    ocost = option * (costs[j] - paid)
+                    gain = min(option, state[x])
+                    nrsum = rsum - gain
+                    if ocost + nrsum > left:
+                        # each further copy costs at least the one vote it gains
+                        best = min(best, ocost + nrsum)
+                        k = hi + 1
+                        break
+                    nstate = state[:x] + (state[x] - gain,) + state[x + 1:] if gain else state
+                    if option and j < len(coords):
+                        nlayer, navail = layer + 1, option
+                    else:
+                        nlayer, navail = entry[g + 1]
                 if nrsum == 0:
-                    frame[3] = k
-                    return {
-                        voters[d].flat_index: voters[d].options[f[3] - 1][0]
-                        for d, f in enumerate(stack)
-                        if f[3] > 1
-                    }
-                need = self.lower(i + 1, nstate, left - ocost)
+                    frame[5] = k
+                    return self.allocation(stack)
+                need = lower(nlayer, navail, nstate, left - ocost)
                 if need <= left - ocost:
-                    child = [nstate, nrsum, left - ocost, 0, inf]
+                    child = self.frame(nlayer, navail, nstate, nrsum, left - ocost)
                     break
-                best = min(best, ocost + need)
-            frame[3], frame[4] = k, best
+                if ocost + need < best:
+                    best = ocost + need
+            frame[5], frame[7] = k, best
             if child is not None:
+                frame[8] = ocost
                 stack.append(child)
                 continue
             stack.pop()
             if len(self.failed) < self.state_cap:
-                self.failed[(i, state)] = best - 1
+                self.failed[(layer, avail, state)] = best - 1
             if stack:
                 parent = stack[-1]
-                parent[4] = min(parent[4], voters[i - 1].options[parent[3] - 1][0] + best)
+                parent[7] = min(parent[7], parent[8] + best)
         return None
 
-
-def _score_exact(
-    triple: DodgsonTriple, tally: PairwiseTally | None, state_cap: int
-) -> ScoreResult:
-    problem = _cover_problem(triple, tally)
-    n = triple.election.n
-    if not problem.coords:
-        return ScoreResult(0, (0,) * n)
-    search = _CoverSearch(problem, state_cap)
-    # Raising the designated candidate to the top of every voter is a cover,
-    # so the bound is finite and some budget succeeds.  A failed budget
-    # leaves the root's proven bound in the memo, so the next try can skip
-    # budgets already ruled out.
-    budget = search.lower(0, problem.start)
-    while (allocation := search.cover(budget)) is None:
-        budget = max(budget + 1, search.lower(0, problem.start, budget + 1))
-    return ScoreResult(budget, tuple(allocation.get(i, 0) for i in range(n)))
+    def allocation(self, stack: list[list]) -> dict[int, list[int]]:
+        """The options chosen on ``stack`` as {group: copies reaching each level}."""
+        reach: dict[int, list[int]] = {}
+        for frame in stack:
+            g, j = self.layers[frame[0]]
+            counts = reach.setdefault(g, [0] * len(self.problem.groups[g].costs))
+            option = frame[5] - 1
+            if frame[1] == 1:
+                counts[j:option + 1] = [1] * (option + 1 - j)
+            else:
+                counts[j] = option
+        return reach
 
 
 def score_exact(triple: DodgsonTriple, *, state_cap: int = DEFAULT_STATE_CAP) -> ScoreResult:
     """Exact Dodgson score with a witness allocation achieving it."""
-    return _score_exact(triple, None, state_cap)
+    problem = _cover_problem(triple)
+    n = triple.election.n
+    if not problem.coords:
+        return ScoreResult(0, (0,) * n)
+    search = _CoverSearch(problem, state_cap)
+    layer, avail = search.entry[0]
+    # Raising the designated candidate to the top of every voter is a cover,
+    # so the bound is finite and some budget succeeds.  A failed budget
+    # leaves the root's proven bound in the memo, so the next try can skip
+    # budgets already ruled out.
+    budget = search.lower(layer, avail, problem.start)
+    while (reach := search.cover(budget)) is None:
+        budget = max(budget + 1, search.lower(layer, avail, problem.start, budget + 1))
+    # The group's copies raise in ascending order: the last reach[k] of them
+    # reach level k.
+    raises = [0] * n
+    for g, counts in reach.items():
+        grp = problem.groups[g]
+        end = grp.flat + grp.mult
+        for k in range(1, len(counts)):
+            raises[end - counts[k]:end] = [grp.costs[k]] * counts[k]
+    return ScoreResult(budget, tuple(raises))
 
 
-def _score_at_most(
-    triple: DodgsonTriple,
-    budget: int,
-    tally: PairwiseTally | None = None,
-    memo_cap: int = DEFAULT_STATE_CAP,
-) -> bool:
+def _score_at_most(triple: DodgsonTriple, budget: int, state_cap: int) -> bool:
     """Budget-limited search; never explores allocations costing more than
     ``budget``.  Negative budgets are trivially false."""
     if budget < 0:
         return False
-    problem = _cover_problem(triple, tally)
+    problem = _cover_problem(triple)
     if not problem.coords:
         return True
     if sum(problem.start) > budget:
         return False
-    return _CoverSearch(problem, memo_cap).cover(budget) is not None
+    return _CoverSearch(problem, state_cap).cover(budget) is not None
 
 
 def score_decision(
@@ -281,7 +394,7 @@ def score_decision(
     """Is the Dodgson score at most ``budget``?"""
     if budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
-    return _score_at_most(triple, budget, memo_cap=state_cap)
+    return _score_at_most(triple, budget, state_cap)
 
 
 def score_oracle(triple: DodgsonTriple, cap: int = DEFAULT_ORACLE_CAP) -> int | None:
@@ -338,9 +451,8 @@ def score_oracle(triple: DodgsonTriple, cap: int = DEFAULT_ORACLE_CAP) -> int | 
 
 def all_scores(election: Election, *, state_cap: int = DEFAULT_STATE_CAP) -> dict[str, int]:
     """Exact Dodgson score of every candidate; winners are the argmin set."""
-    tally = pairwise_tally(election)
     return {
-        name: _score_exact(DodgsonTriple(election, name), tally, state_cap).score
+        name: score_exact(DodgsonTriple(election, name), state_cap=state_cap).score
         for name in election.candidates
     }
 
@@ -357,13 +469,12 @@ def is_winner(triple: DodgsonTriple, *, state_cap: int = DEFAULT_STATE_CAP) -> b
     Opponents are checked with budget-limited decisions rather than full
     scoring, which keeps this usable on large gadget-built elections.
     """
-    tally = pairwise_tally(triple.election)
-    own = _score_exact(triple, tally, state_cap).score
+    own = score_exact(triple, state_cap=state_cap).score
     for other in triple.election.candidates:
         if other == triple.designated:
             continue
         rival = DodgsonTriple(triple.election, other)
-        if _score_at_most(rival, own - 1, tally, memo_cap=state_cap):
+        if _score_at_most(rival, own - 1, state_cap):
             return False  # the rival scores strictly below the designated
     return True
 
@@ -377,9 +488,8 @@ def ranks_at_least(
             raise ValueError(f"unknown candidate {name!r}")
     if c == d:
         return True
-    tally = pairwise_tally(election)
-    own = _score_exact(DodgsonTriple(election, c), tally, state_cap).score
-    return not _score_at_most(DodgsonTriple(election, d), own - 1, tally, memo_cap=state_cap)
+    own = score_exact(DodgsonTriple(election, c), state_cap=state_cap).score
+    return not _score_at_most(DodgsonTriple(election, d), own - 1, state_cap)
 
 
 def two_election_ranking(
@@ -396,7 +506,7 @@ def two_election_ranking(
     if left.designated == right.designated:
         raise ValueError("designated candidates must differ")
     own = score_exact(left, state_cap=state_cap).score
-    return not _score_at_most(right, own - 1, memo_cap=state_cap)
+    return not _score_at_most(right, own - 1, state_cap)
 
 
 def apply_raises(triple: DodgsonTriple, raises: Sequence[int]) -> Election:

@@ -21,7 +21,6 @@ from .elections import (
     Election,
     PreferenceOrder,
     VoterProfile,
-    pairwise_tally,
     serialize_election,
 )
 from .gadgets import (
@@ -45,9 +44,9 @@ from .matching import (
 from .scoring import (
     DEFAULT_ORACLE_CAP,
     DEFAULT_STATE_CAP,
-    _score_at_most,
     is_winner,
     ranks_at_least,
+    score_decision,
     score_exact,
     two_election_ranking,
 )
@@ -287,12 +286,11 @@ def verify_merge_laws(config: RunConfig) -> list[PropertyCheck]:
                 f"merged scores ({merged_first}, {merged_second}), expected ({s1 + 1}, {s2 + 1})",
             )
             break
-        tally = pairwise_tally(election)
         for other in election.candidates:
             if other in (instance.first, instance.second):
                 continue
             rival = DodgsonTriple(election, other)
-            if _score_at_most(rival, merged_first, tally, memo_cap=config.state_cap):
+            if score_decision(rival, merged_first, state_cap=config.state_cap):
                 dominance_failure = (t1, t2, f"{other!r} scores at most {merged_first}")
                 break
         if dominance_failure:

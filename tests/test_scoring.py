@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -147,16 +148,38 @@ def test_witness_is_deterministic(cycle):
     assert first.witness == (0, 0, 1)
 
 
+def _grouped_profiles() -> list[Election]:
+    """Seeded 3- and 4-candidate profiles of runs of identical voters, with
+    one order repeated in two groups that are not adjacent."""
+    from dodgson.verify import trial_rng
+
+    elections = [election("a b c", "a<b<c", "b<c<a", "a<b<c", mults=[2, 1, 2])]
+    for i in range(12):
+        rng = trial_rng(7, "grouped", i)
+        names = tuple("abcd"[: 3 + i % 2])
+        first, middle = (tuple(rng.sample(names, len(names))) for _ in range(2))
+        # four candidates allow fewer copies, to keep the brute force small
+        top = 4 if len(names) == 3 else 3
+        mults = [rng.randint(2, top), rng.randint(1, 2), rng.randint(2, top)]
+        groups = tuple(
+            (PreferenceOrder(order), mult) for order, mult in zip((first, middle, first), mults)
+        )
+        elections.append(Election(names, VoterProfile(groups)))
+    return elections
+
+
 def test_memo_cap_does_not_change_answers():
     # state_cap=1 lets the search remember a single failed state; the memo
     # only prunes, so scores and lexicographically least witnesses must not
     # depend on its size
     from dodgson.verify import random_election, trial_rng
 
+    elections = _grouped_profiles()
     for i in range(25):
         rng = trial_rng(99, "dp-vs-bnb", i)
         size = rng.randint(2, 4)
-        e = random_election(rng, tuple("abcd"[:size]), rng.choice([1, 3, 5]))
+        elections.append(random_election(rng, tuple("abcd"[:size]), rng.choice([1, 3, 5])))
+    for e in elections:
         for name in e.candidates:
             t = triple(e, name)
             assert score_exact(t) == score_exact(t, state_cap=1)
@@ -166,9 +189,12 @@ def _brute_force_score_and_witness(t: DodgsonTriple) -> tuple[int, tuple[int, ..
     """Least (cost, raises vector) over every raise vector that makes the
     designated candidate the Condorcet winner."""
     room = [len(o.ranking) - 1 - o.position(t.designated) for o in t.election.profile.orders()]
-    return min(
-        (sum(raises), raises)
-        for raises in itertools.product(*(range(r + 1) for r in room))
+    candidates = sorted(
+        (sum(raises), raises) for raises in itertools.product(*(range(r + 1) for r in room))
+    )
+    return next(
+        (cost, raises)
+        for cost, raises in candidates
         if condorcet_winner(apply_raises(t, raises)) == t.designated
     )
 
@@ -183,6 +209,7 @@ def test_witness_is_lexicographically_least_by_brute_force():
     ]
     for i in range(20):
         elections.append(random_election(trial_rng(5, "brute-witness", i), tuple("abcd"), 4))
+    elections.extend(_grouped_profiles())
     for e in elections:
         for name in e.candidates:
             t = triple(e, name)
@@ -245,7 +272,7 @@ def test_two_election_ranking_validation(cycle):
 
 
 def test_many_voter_cycle_scores_within_time():
-    # 4,000 voters, one search layer per voter
+    # 4,000 voters in four runs of 1,000 identical copies
     e = election("a b c d", "a<b<c<d", "b<c<d<a", "c<d<a<b", "d<a<b<c", mults=[1000] * 4)
     t = triple(e, "a")
     with time_limit(10):
@@ -265,3 +292,45 @@ def test_merge_separator_scores_its_deficit_sum(cycle):
     assert sum(deficit_vector(t).values()) == 168
     with time_limit(10):
         assert score_exact(t).score == 168
+
+
+def _impartial_culture(m: int, n: int, seed: str, landslide: float) -> Election:
+    """Seeded impartial-culture profile over the first ``m`` of a..f, grouped
+    by order; a ``landslide`` share of the voters copies one seeded order."""
+    names = tuple("abcdef"[:m])
+    perms = list(itertools.permutations(names))
+    rng = random.Random(seed)
+    counts = [0] * len(perms)
+    copies = int(n * landslide)
+    counts[rng.randrange(len(perms))] += copies
+    for _ in range(n - copies):
+        counts[rng.randrange(len(perms))] += 1
+    groups = tuple((PreferenceOrder(p), c) for p, c in zip(perms, counts) if c)
+    return Election(names, VoterProfile(groups))
+
+
+def test_six_candidates_score_their_deficit_sum_within_time():
+    # 1,001 voters in 483 groups.  The score meets the deficit-sum bound, yet
+    # a search with one layer per voter copy does not find it within 100 s
+    # (reference from the Bartholdi-Tovey-Trick integer program).
+    e = _impartial_culture(6, 1001, "crowd:2", 0.192)
+    t = triple(e, "e")
+    assert sum(deficit_vector(t).values()) == 283
+    with time_limit(10):
+        result = score_exact(t)
+        assert result.score == 283
+        assert sum(result.witness) == 283
+        assert condorcet_winner(apply_raises(t, result.witness)) == "e"
+        assert not is_winner(t)
+
+
+def test_hundred_thousand_voters_score_within_time():
+    # 100,001 voters over 4 candidates (reference from the Bartholdi-Tovey-
+    # Trick integer program)
+    e = _impartial_culture(4, 100_001, "crowd:19", 0.206)
+    t = triple(e, "c")
+    with time_limit(10):
+        assert score_exact(t).score == 30438
+        assert score_decision(t, 30438) is True
+        assert score_decision(t, 30437) is False
+        assert not is_winner(t)
