@@ -16,7 +16,7 @@ import json
 import sys
 from pathlib import Path
 
-from .elections import DodgsonTriple, parse_election, serialize_election
+from .elections import DodgsonTriple, Election, parse_election, serialize_election
 from .gadgets import (
     TwoERInstance,
     build_merge,
@@ -46,16 +46,6 @@ EXIT_FALSE = 1
 EXIT_INPUT = 2
 EXIT_VIOLATION = 3
 
-REDUCE_KINDS = (
-    "3dm",
-    "sum",
-    "merge",
-    "merge-prime",
-    "wagner-g",
-    "2er-to-ranking",
-    "2er-to-winner",
-)
-
 
 class _Input(ValueError):
     """Wraps anything that should surface as exit code 2."""
@@ -74,8 +64,7 @@ def _load_triple(ref: str) -> DodgsonTriple:
     if not sep or not path:
         raise _Input(f"expected 'file:candidate', got {ref!r}")
     election = _load_election(path)
-    if candidate not in election.candidates:
-        raise _Input(f"unknown candidate {candidate!r} in {path}")
+    _require_candidate(election, candidate, path)
     return DodgsonTriple(election, candidate)
 
 
@@ -92,20 +81,6 @@ def _emit(payload: dict, lines: list[str], as_json: bool) -> None:
             print(line)
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--json", action="store_true", help="machine-readable output")
-    parser.add_argument("--seed", type=int, default=0, help="base seed for random trials")
-    parser.add_argument("--trials", type=int, default=25, help="random trials per property")
-    parser.add_argument(
-        "--state-cap", type=int, default=DEFAULT_STATE_CAP,
-        help="cap on the search states remembered as too costly",
-    )
-    parser.add_argument(
-        "--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP,
-        help="depth cap for the breadth-first oracle",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dodgson",
@@ -119,43 +94,49 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--at-most", type=int, default=None, metavar="K",
                    help="decide Score <= K instead of computing the score")
     p.add_argument("--witness", action="store_true", help="also print a witness allocation")
-    _common_flags(p)
 
     p = sub.add_parser("winner", help="Dodgson winners, or one candidate's winner status")
     p.add_argument("file")
     p.add_argument("-c", "--candidate")
-    _common_flags(p)
 
     p = sub.add_parser("ranking", help="does one candidate tie-or-defeat another?")
     p.add_argument("file")
     p.add_argument("-c", "--candidate", required=True)
     p.add_argument("-d", "--other", required=True)
-    _common_flags(p)
 
     p = sub.add_parser("2er", help="compare designated candidates of two elections")
     p.add_argument("left", help="file:candidate")
     p.add_argument("right", help="file:candidate")
-    _common_flags(p)
 
     p = sub.add_parser("oracle", help="breadth-first sequential-switch oracle (desk scale)")
     p.add_argument("file")
     p.add_argument("-c", "--candidate", required=True)
-    _common_flags(p)
+    p.add_argument(
+        "--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP,
+        help="depth cap for the breadth-first oracle",
+    )
 
     p = sub.add_parser("reduce", help="run a gadget construction and write its output")
-    p.add_argument("kind", choices=REDUCE_KINDS)
+    p.add_argument("kind", choices=_REDUCERS)
     p.add_argument("inputs", nargs="+",
                    help=".3dm file(s) for 3dm/wagner-g; file:candidate pairs otherwise")
     p.add_argument("-o", "--out", default="out", help="output path prefix (default: out)")
-    _common_flags(p)
 
     p = sub.add_parser("verify", help="replay a verification suite")
     p.add_argument("suite", choices=SUITE_NAMES,
                    help="3: reduction score gap; 4: sum additivity; "
                         "6: merge laws; wagner: parity law; theorems: end-to-end reductions")
     p.add_argument("-o", "--out", default=".", help="directory for counterexample fixtures")
-    _common_flags(p)
+    p.add_argument("--seed", type=int, default=0, help="base seed for random trials")
+    p.add_argument("--trials", type=int, default=25, help="random trials per property")
 
+    for name, p in sub.choices.items():
+        p.add_argument("--json", action="store_true", help="machine-readable output")
+        if name not in ("oracle", "reduce"):
+            p.add_argument(
+                "--state-cap", type=int, default=DEFAULT_STATE_CAP,
+                help="cap on the search states remembered as too costly",
+            )
     return parser
 
 
@@ -244,160 +225,116 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def _write_election_file(path: Path, triple_or_election, designated: str | None) -> None:
-    election = getattr(triple_or_election, "election", triple_or_election)
-    text = serialize_election(election)
-    if designated is not None:
-        text = f"# designated: {designated}\n" + text
-    path.write_text(text, encoding="utf-8")
+def _read_matching(path: str) -> object:
+    try:
+        return parse_matching(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        return f"unreadable: {exc}"  # totalized: malformed maps through normalization
+
+
+def _shape(election: Election, **fields) -> dict:
+    return {"candidates": len(election.candidates), "voters": election.n, **fields}
+
+
+def _size(election: Election) -> str:
+    return f"{len(election.candidates)} candidates, {election.n} voters"
+
+
+# A reduce builder maps (kind, inputs) to the elections to write, keyed by file
+# suffix and paired with their designated candidate (or None), the sidecar
+# info, the extra JSON fields and the summary line.
+
+
+def _reduce_3dm(kind: str, inputs: list[str]):
+    if len(inputs) != 1:
+        raise _Input("reduce 3dm takes exactly one .3dm file")
+    reduced, info = build_reduction(_read_matching(inputs[0]))
+    election, designated = reduced.triple.election, reduced.triple.designated
+    extra = _shape(election, threshold=reduced.threshold, designated=designated)
+    return ({".dodg": (election, designated)}, info, extra,
+            f"{_size(election)}, threshold {reduced.threshold}")
+
+
+def _reduce_sum(kind: str, inputs: list[str]):
+    total, info = build_sum([_load_triple(ref) for ref in inputs])
+    return ({".dodg": (total.election, total.designated)}, info,
+            _shape(total.election, designated=total.designated),
+            f"{_size(total.election)}, designated {total.designated}")
+
+
+def _reduce_merge(kind: str, inputs: list[str]):
+    """merge, merge-prime, and the totalized 2er-to-ranking/2er-to-winner."""
+    if len(inputs) != 2:
+        raise _Input(f"reduce {kind} takes exactly two file:candidate inputs")
+    if kind.startswith("merge"):
+        t1, t2 = map(_load_triple, inputs)
+    else:
+        try:
+            pair = TwoERInstance(*map(_load_triple, inputs))
+        except ValueError:  # _Input too: invalid pairs map to the sentinel
+            return ({}, {"kind": kind, "sentinel": True}, {"sentinel": True},
+                    "sentinel (input is not a valid two-election instance)")
+        t1, t2 = pair.left, pair.right
+    instance, info = build_merge(t1, t2)
+    election = instance.election
+    summary = _size(election)
+    if kind in ("merge", "2er-to-ranking"):
+        designated = None
+        extra = _shape(election, first=instance.first, second=instance.second)
+        if kind == "merge":
+            summary += f", comparing {instance.first} against {instance.second}"
+    else:
+        designated = merge_prime(t1, t2).designated if kind == "merge-prime" else instance.first
+        extra = _shape(election, designated=designated)
+        if kind == "merge-prime":
+            summary += f", designated {designated}"
+    return {".dodg": (election, designated)}, dict(info, kind=kind), extra, summary
+
+
+def _reduce_wagner(kind: str, inputs: list[str]):
+    instance, info = build_parity_combiner([_read_matching(path) for path in inputs])
+    left, right = instance.left, instance.right
+    files = {".left.dodg": (left.election, left.designated),
+             ".right.dodg": (right.election, right.designated)}
+    extra = {"left": _shape(left.election, designated=left.designated),
+             "right": _shape(right.election, designated=right.designated)}
+    return files, info, extra, f"left: {_size(left.election)}; right: {_size(right.election)}"
+
+
+_REDUCERS = {
+    "3dm": _reduce_3dm,
+    "sum": _reduce_sum,
+    "merge": _reduce_merge,
+    "merge-prime": _reduce_merge,
+    "wagner-g": _reduce_wagner,
+    "2er-to-ranking": _reduce_merge,
+    "2er-to-winner": _reduce_merge,
+}
 
 
 def _cmd_reduce(args) -> int:
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    kind = args.kind
-    written: list[str] = []
-    summary: list[str] = []
-    info: dict
-
-    if kind == "3dm":
-        if len(args.inputs) != 1:
-            raise _Input("reduce 3dm takes exactly one .3dm file")
-        try:
-            value: object = parse_matching(Path(args.inputs[0]).read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
-            value = f"unreadable: {exc}"  # totalized: malformed maps through normalization
-        reduced, info = build_reduction(value)
-        election = reduced.triple.election
-        dodg = out.with_suffix(".dodg")
-        _write_election_file(dodg, reduced.triple, reduced.triple.designated)
-        written.append(str(dodg))
-        summary.append(
-            f"{len(election.candidates)} candidates, {election.n} voters, "
-            f"threshold {reduced.threshold}"
-        )
-        payload_extra = {
-            "candidates": len(election.candidates),
-            "voters": election.n,
-            "threshold": reduced.threshold,
-            "designated": reduced.triple.designated,
-        }
-    elif kind == "sum":
-        triples = [_load_triple(ref) for ref in args.inputs]
-        total, info = build_sum(triples)
-        dodg = out.with_suffix(".dodg")
-        _write_election_file(dodg, total, total.designated)
-        written.append(str(dodg))
-        summary.append(
-            f"{len(total.election.candidates)} candidates, {total.election.n} voters, "
-            f"designated {total.designated}"
-        )
-        payload_extra = {
-            "candidates": len(total.election.candidates),
-            "voters": total.election.n,
-            "designated": total.designated,
-        }
-    elif kind in ("merge", "merge-prime"):
-        if len(args.inputs) != 2:
-            raise _Input(f"reduce {kind} takes exactly two file:candidate inputs")
-        t1, t2 = (_load_triple(ref) for ref in args.inputs)
-        instance, info = build_merge(t1, t2)
-        dodg = out.with_suffix(".dodg")
-        if kind == "merge":
-            _write_election_file(dodg, instance.election, None)
-            summary.append(
-                f"{len(instance.election.candidates)} candidates, {instance.election.n} voters, "
-                f"comparing {instance.first} against {instance.second}"
-            )
-            payload_extra = {"first": instance.first, "second": instance.second}
-        else:
-            designated = merge_prime(t1, t2).designated
-            _write_election_file(dodg, instance.election, designated)
-            summary.append(
-                f"{len(instance.election.candidates)} candidates, {instance.election.n} voters, "
-                f"designated {designated}"
-            )
-            payload_extra = {"designated": designated}
-            info = dict(info, kind="merge-prime")
-        written.append(str(dodg))
-        payload_extra.update(
-            {"candidates": len(instance.election.candidates), "voters": instance.election.n}
-        )
-    elif kind == "wagner-g":
-        values = []
-        for path in args.inputs:
-            try:
-                values.append(parse_matching(Path(path).read_text(encoding="utf-8")))
-            except (OSError, ValueError) as exc:
-                values.append(f"unreadable: {exc}")
-        try:
-            instance, info = build_parity_combiner(values)
-        except ValueError as exc:
-            raise _Input(str(exc)) from None
-        left = out.parent / (out.name + ".left.dodg")
-        right = out.parent / (out.name + ".right.dodg")
-        _write_election_file(left, instance.left, instance.left.designated)
-        _write_election_file(right, instance.right, instance.right.designated)
-        written.extend([str(left), str(right)])
-        summary.append(
-            f"left: {len(instance.left.election.candidates)} candidates, "
-            f"{instance.left.election.n} voters; "
-            f"right: {len(instance.right.election.candidates)} candidates, "
-            f"{instance.right.election.n} voters"
-        )
-        payload_extra = {
-            "left": {"candidates": len(instance.left.election.candidates),
-                     "voters": instance.left.election.n,
-                     "designated": instance.left.designated},
-            "right": {"candidates": len(instance.right.election.candidates),
-                      "voters": instance.right.election.n,
-                      "designated": instance.right.designated},
-        }
-    else:  # 2er-to-ranking / 2er-to-winner
-        if len(args.inputs) != 2:
-            raise _Input(f"reduce {kind} takes exactly two file:candidate inputs")
-        try:
-            t1, t2 = (_load_triple(ref) for ref in args.inputs)
-            pair: object = TwoERInstance(t1, t2)
-        except (ValueError, _Input):
-            pair = None  # totalized: invalid pairs map to the sentinel
-        if pair is None:
-            info = {"kind": kind, "sentinel": True}
-            summary.append("sentinel (input is not a valid two-election instance)")
-            payload_extra = {"sentinel": True}
-        else:
-            assert isinstance(pair, TwoERInstance)
-            instance, info = build_merge(pair.left, pair.right)
-            info = dict(info, kind=kind)
-            dodg = out.with_suffix(".dodg")
-            if kind == "2er-to-ranking":
-                _write_election_file(dodg, instance.election, None)
-                payload_extra = {"first": instance.first, "second": instance.second}
-            else:
-                _write_election_file(dodg, instance.election, instance.first)
-                payload_extra = {"designated": instance.first}
-            written.append(str(dodg))
-            summary.append(
-                f"{len(instance.election.candidates)} candidates, {instance.election.n} voters"
-            )
-            payload_extra.update(
-                {"candidates": len(instance.election.candidates), "voters": instance.election.n}
-            )
-
+    files, info, extra, summary = _REDUCERS[args.kind](args.kind, args.inputs)
+    written = []
+    for suffix, (election, designated) in files.items():
+        # the main output replaces the prefix's suffix; the two sides extend it
+        path = out.with_suffix(suffix) if suffix == ".dodg" else out.parent / (out.name + suffix)
+        header = f"# designated: {designated}\n" if designated is not None else ""
+        path.write_text(header + serialize_election(election), encoding="utf-8")
+        written.append(str(path))
     sidecar = out.with_suffix(".json")
     sidecar.write_text(json.dumps(info, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     written.append(str(sidecar))
-    payload = {"command": "reduce", "kind": kind, "outputs": written}
-    payload.update(payload_extra)
-    _emit(payload, summary + [f"wrote {path}" for path in written], args.json)
+    payload = {"command": "reduce", "kind": args.kind, "outputs": written, **extra}
+    _emit(payload, [summary] + [f"wrote {path}" for path in written], args.json)
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    config = RunConfig(
-        seed=args.seed, trials=args.trials,
-        state_cap=args.state_cap, oracle_cap=args.oracle_cap,
-    )
+    if args.trials < 1:
+        raise _Input("--trials must be at least 1")
+    config = RunConfig(seed=args.seed, trials=args.trials, state_cap=args.state_cap)
     results = run_suite(args.suite, config)
     lines = []
     fixture_paths: list[str] = []
@@ -417,8 +354,7 @@ def _cmd_verify(args) -> int:
     payload = {
         "command": "verify",
         "suite": args.suite,
-        "config": {"seed": config.seed, "trials": config.trials,
-                   "state_cap": config.state_cap, "oracle_cap": config.oracle_cap},
+        "config": {"seed": config.seed, "trials": config.trials, "state_cap": config.state_cap},
         "results": [
             {"name": c.name, "passed": c.passed, "checked": c.checked, "detail": c.detail}
             for c in results

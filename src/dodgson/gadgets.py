@@ -360,7 +360,10 @@ def parity_combine(inputs: Sequence[object]) -> TwoERInstance:
 def build_merge(t1: DodgsonTriple, t2: DodgsonTriple) -> tuple[RankingInstance, dict]:
     """Merge two odd-voter elections into one even-voter election in which
     each input's designated candidate scores exactly one more than it did in
-    its own election, and every other candidate scores strictly above both.
+    its own election (the +1 law).  Other candidates are not bound to score
+    above both: in ``merge_corpus`` seed 920, trial 0, ``b2_z1`` scores 2
+    against ``d``'s 3.  ``verify 6`` compares them with the first designated
+    score only.
 
     The construction assumes the first block has at least as many voters;
     when it does not, the inputs are swapped internally and the output roles

@@ -27,9 +27,10 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import inf
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .elections import DodgsonTriple, Election, VoterProfile, deficit_vector, majority_threshold
+from .gadgets import TwoERInstance
 
 __all__ = [
     "DEFAULT_STATE_CAP",
@@ -463,20 +464,23 @@ def dodgson_winners(election: Election, *, state_cap: int = DEFAULT_STATE_CAP) -
     return [name for name in election.candidates if scores[name] == low]
 
 
-def is_winner(triple: DodgsonTriple, *, state_cap: int = DEFAULT_STATE_CAP) -> bool:
-    """Does the designated candidate tie-or-defeat every other candidate?
-
-    Opponents are checked with budget-limited decisions rather than full
-    scoring, which keeps this usable on large gadget-built elections.
-    """
+def _some_rival_below(
+    triple: DodgsonTriple, rivals: Iterable[DodgsonTriple], state_cap: int
+) -> bool:
+    """Score ``triple`` exactly, then decide whether some rival scores at most
+    one less.  Rivals get budget-limited decisions rather than full scoring,
+    which keeps this usable on large gadget-built elections; the first rival
+    found below ends the check."""
     own = score_exact(triple, state_cap=state_cap).score
-    for other in triple.election.candidates:
-        if other == triple.designated:
-            continue
-        rival = DodgsonTriple(triple.election, other)
-        if _score_at_most(rival, own - 1, state_cap):
-            return False  # the rival scores strictly below the designated
-    return True
+    return any(_score_at_most(rival, own - 1, state_cap) for rival in rivals)
+
+
+def is_winner(triple: DodgsonTriple, *, state_cap: int = DEFAULT_STATE_CAP) -> bool:
+    """Does the designated candidate tie-or-defeat every other candidate?"""
+    election = triple.election
+    rivals = (DodgsonTriple(election, other) for other in election.candidates
+              if other != triple.designated)
+    return not _some_rival_below(triple, rivals, state_cap)
 
 
 def ranks_at_least(
@@ -488,8 +492,8 @@ def ranks_at_least(
             raise ValueError(f"unknown candidate {name!r}")
     if c == d:
         return True
-    own = score_exact(DodgsonTriple(election, c), state_cap=state_cap).score
-    return not _score_at_most(DodgsonTriple(election, d), own - 1, state_cap)
+    rival = DodgsonTriple(election, d)
+    return not _some_rival_below(DodgsonTriple(election, c), [rival], state_cap)
 
 
 def two_election_ranking(
@@ -500,13 +504,8 @@ def two_election_ranking(
     Both elections must have an odd number of voters and the designated
     candidates must differ; anything else is not a valid instance.
     """
-    for triple, side in ((left, "left"), (right, "right")):
-        if triple.election.n % 2 == 0:
-            raise ValueError(f"{side} election must have an odd number of voters")
-    if left.designated == right.designated:
-        raise ValueError("designated candidates must differ")
-    own = score_exact(left, state_cap=state_cap).score
-    return not _score_at_most(right, own - 1, state_cap)
+    TwoERInstance(left, right)  # validates the pair
+    return not _some_rival_below(left, [right], state_cap)
 
 
 def apply_raises(triple: DodgsonTriple, raises: Sequence[int]) -> Election:

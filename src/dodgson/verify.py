@@ -42,7 +42,6 @@ from .matching import (
     serialize_matching,
 )
 from .scoring import (
-    DEFAULT_ORACLE_CAP,
     DEFAULT_STATE_CAP,
     is_winner,
     ranks_at_least,
@@ -71,7 +70,6 @@ class RunConfig:
     seed: int = 0
     trials: int = 25
     state_cap: int = DEFAULT_STATE_CAP
-    oracle_cap: int = DEFAULT_ORACLE_CAP
 
 
 @dataclass
@@ -81,6 +79,13 @@ class PropertyCheck:
     checked: int
     detail: str = ""
     fixtures: dict[str, str] = field(default_factory=dict)
+
+
+def _property(name: str, checked: int, failure: tuple[str, dict] | None) -> PropertyCheck:
+    """One property's result; ``failure`` is (detail, fixtures) of the first
+    counterexample, or None when every check passed."""
+    detail, fixtures = failure or ("", {})
+    return PropertyCheck(name, failure is None, checked, detail, fixtures)
 
 
 def trial_rng(seed: int, label: str, index: int) -> random.Random:
@@ -149,65 +154,34 @@ def _check_gap(instance: MatchingInstance, state_cap: int) -> tuple[bool, str]:
 
 
 def verify_reduction_gap(config: RunConfig) -> list[PropertyCheck]:
-    results = []
-    checked = 0
-    failure = None
-    for instance in enumerate_instances(2, (2, 4)):
-        ok, detail = _check_gap(instance, config.state_cap)
-        checked += 1
-        if not ok:
-            failure = (instance, detail)
-            break
-    results.append(
-        PropertyCheck(
-            "score-gap-exhaustive-q2",
-            failure is None,
-            checked,
-            failure[1] if failure else "",
-            {"counterexample.3dm": serialize_matching(failure[0])} if failure else {},
-        )
-    )
-    checked = 0
-    failure = None
+    q2 = list(enumerate_instances(2, (2, 4)))
+    q3 = []
     for i in range(config.trials):
         rng = trial_rng(config.seed, "q3", i)
-        instance = random_matching(rng, 3, rng.randint(2, 12))
+        q3.append(random_matching(rng, 3, rng.randint(2, 12)))
+
+    def first_failure(instances, check):
+        checked = 0
+        for instance in instances:
+            checked += 1
+            detail = check(instance)
+            if detail:
+                return checked, (detail, {"counterexample.3dm": serialize_matching(instance)})
+        return checked, None
+
+    def gap(instance):
         ok, detail = _check_gap(instance, config.state_cap)
-        checked += 1
-        if not ok:
-            failure = (instance, detail)
-            break
-    results.append(
-        PropertyCheck(
-            "score-gap-random-q3",
-            failure is None,
-            checked,
-            failure[1] if failure else "",
-            {"counterexample.3dm": serialize_matching(failure[0])} if failure else {},
-        )
-    )
-    checked = 0
-    bad = None
-    q3_instances = (
-        random_matching(trial_rng(config.seed, "q3", i), 3, trial_rng(config.seed, "q3", i).randint(2, 12))
-        for i in range(config.trials)
-    )
-    for instance in itertools.chain(enumerate_instances(2, (2, 4)), q3_instances):
-        reduced = reduce_3dm(instance)
-        checked += 1
-        if reduced.triple.election.n % 2 == 0:
-            bad = (instance, f"even voter count {reduced.triple.election.n}")
-            break
-    results.append(
-        PropertyCheck(
-            "reduction-output-odd-voters",
-            bad is None,
-            checked,
-            bad[1] if bad else "",
-            {"counterexample.3dm": serialize_matching(bad[0])} if bad else {},
-        )
-    )
-    return results
+        return None if ok else detail
+
+    def odd(instance):
+        n = reduce_3dm(instance).triple.election.n
+        return f"even voter count {n}" if n % 2 == 0 else None
+
+    return [
+        _property("score-gap-exhaustive-q2", *first_failure(q2, gap)),
+        _property("score-gap-random-q3", *first_failure(q3, gap)),
+        _property("reduction-output-odd-voters", *first_failure(q2 + q3, odd)),
+    ]
 
 
 # --- suite "4": sum additivity ------------------------------------------------
@@ -228,33 +202,22 @@ def verify_sum_additivity(config: RunConfig) -> list[PropertyCheck]:
         expected_voters = 2 * sum(p.election.n for p in parts) - 1
         expected_separators = sum(len(p.election.candidates) * p.election.n for p in parts)
         if total.election.n != expected_voters or info["separators"]["s"] != expected_separators:
-            shape_failure = (parts, total, "voter count or separator size off")
+            shape_failure = ("voter count or separator size off",
+                             _triple_fixtures("counterexample-sum", total))
             break
         want = sum(score_exact(p, state_cap=config.state_cap).score for p in parts)
         got = score_exact(total, state_cap=config.state_cap).score
         if got != want:
-            additivity_failure = (parts, total, f"sum score {got}, expected {want}")
+            additivity_failure = (
+                f"sum score {got}, expected {want}",
+                _triple_fixtures("counterexample-input", *parts)
+                | _triple_fixtures("counterexample-sum", total),
+            )
             break
-    results = [
-        PropertyCheck(
-            "sum-additivity",
-            additivity_failure is None,
-            checked,
-            additivity_failure[2] if additivity_failure else "",
-            _triple_fixtures("counterexample-input", *additivity_failure[0])
-            | _triple_fixtures("counterexample-sum", additivity_failure[1])
-            if additivity_failure
-            else {},
-        ),
-        PropertyCheck(
-            "sum-shape",
-            shape_failure is None,
-            checked,
-            shape_failure[2] if shape_failure else "",
-            _triple_fixtures("counterexample-sum", shape_failure[1]) if shape_failure else {},
-        ),
+    return [
+        _property("sum-additivity", checked, additivity_failure),
+        _property("sum-shape", checked, shape_failure),
     ]
-    return results
 
 
 # --- suite "6": merge laws ------------------------------------------------------
@@ -270,7 +233,8 @@ def verify_merge_laws(config: RunConfig) -> list[PropertyCheck]:
         checked += 1
         election = instance.election
         if election.n != 2 * max(t1.n, t2.n) + min(t1.n, t2.n) + 1 or election.n % 2:
-            shape_failure = (t1, t2, f"voter count {election.n}")
+            shape_failure = (f"voter count {election.n}",
+                             _triple_fixtures("counterexample-input", t1, t2))
         s1 = score_exact(t1, state_cap=config.state_cap).score
         s2 = score_exact(t2, state_cap=config.state_cap).score
         merged_first = score_exact(
@@ -281,9 +245,8 @@ def verify_merge_laws(config: RunConfig) -> list[PropertyCheck]:
         ).score
         if merged_first != s1 + 1 or merged_second != s2 + 1:
             plus_failure = (
-                t1,
-                t2,
                 f"merged scores ({merged_first}, {merged_second}), expected ({s1 + 1}, {s2 + 1})",
+                _triple_fixtures("counterexample-input", t1, t2),
             )
             break
         for other in election.candidates:
@@ -291,20 +254,15 @@ def verify_merge_laws(config: RunConfig) -> list[PropertyCheck]:
                 continue
             rival = DodgsonTriple(election, other)
             if score_decision(rival, merged_first, state_cap=config.state_cap):
-                dominance_failure = (t1, t2, f"{other!r} scores at most {merged_first}")
+                dominance_failure = (f"{other!r} scores at most {merged_first}",
+                                     _triple_fixtures("counterexample-input", t1, t2))
                 break
         if dominance_failure:
             break
-    def fixtures(failure):
-        return _triple_fixtures("counterexample-input", failure[0], failure[1]) if failure else {}
-
     return [
-        PropertyCheck("merge-plus-one", plus_failure is None, checked,
-                      plus_failure[2] if plus_failure else "", fixtures(plus_failure)),
-        PropertyCheck("merge-dominance", dominance_failure is None, checked,
-                      dominance_failure[2] if dominance_failure else "", fixtures(dominance_failure)),
-        PropertyCheck("merge-shape", shape_failure is None, checked,
-                      shape_failure[2] if shape_failure else "", fixtures(shape_failure)),
+        _property("merge-plus-one", checked, plus_failure),
+        _property("merge-dominance", checked, dominance_failure),
+        _property("merge-shape", checked, shape_failure),
     ]
 
 
@@ -330,11 +288,11 @@ def verify_parity_combiner(config: RunConfig) -> list[PropertyCheck]:
             expected = yes_count % 2 == 1
             checked += 1
             if answered != expected:
-                failure = f"k={k}, {yes_count} members: got {answered}, expected {expected}"
+                failure = (f"k={k}, {yes_count} members: got {answered}, expected {expected}", {})
                 break
         if failure:
             break
-    return [PropertyCheck("parity-law", failure is None, checked, failure or "")]
+    return [_property("parity-law", checked, failure)]
 
 
 # --- suite "theorems": end-to-end reductions ------------------------------------
@@ -352,27 +310,17 @@ def verify_end_to_end(config: RunConfig) -> list[PropertyCheck]:
         if isinstance(ranked, Sentinel) or ranks_at_least(
             ranked.election, ranked.first, ranked.second, state_cap=config.state_cap
         ) != member:
-            ranking_failure = (t1, t2, f"ranking membership mismatch (expected {member})")
+            ranking_failure = (f"ranking membership mismatch (expected {member})",
+                               _triple_fixtures("counterexample-input", t1, t2))
             break
         won = reduce_2er_to_winner(pair)
         if isinstance(won, Sentinel) or is_winner(won, state_cap=config.state_cap) != member:
-            winner_failure = (t1, t2, f"winner membership mismatch (expected {member})")
+            winner_failure = (f"winner membership mismatch (expected {member})",
+                              _triple_fixtures("counterexample-input", t1, t2))
             break
     results = [
-        PropertyCheck(
-            "ranking-reduction",
-            ranking_failure is None,
-            checked,
-            ranking_failure[2] if ranking_failure else "",
-            _triple_fixtures("counterexample-input", *ranking_failure[:2]) if ranking_failure else {},
-        ),
-        PropertyCheck(
-            "winner-reduction",
-            winner_failure is None,
-            checked,
-            winner_failure[2] if winner_failure else "",
-            _triple_fixtures("counterexample-input", *winner_failure[:2]) if winner_failure else {},
-        ),
+        _property("ranking-reduction", checked, ranking_failure),
+        _property("winner-reduction", checked, winner_failure),
     ]
     even = DodgsonTriple(
         Election(
@@ -395,10 +343,8 @@ def verify_end_to_end(config: RunConfig) -> list[PropertyCheck]:
         and isinstance(reduce_2er_to_winner(x), Sentinel)
         for x in malformed
     )
-    results.append(
-        PropertyCheck("sentinel-branch", sentinel_ok, len(malformed),
-                      "" if sentinel_ok else "a malformed input escaped the sentinel")
-    )
+    escaped = None if sentinel_ok else ("a malformed input escaped the sentinel", {})
+    results.append(_property("sentinel-branch", len(malformed), escaped))
     return results
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from dodgson import parse_election, score_exact, DodgsonTriple, merge, serialize_election
 from dodgson.cli import main
+from dodgson.scoring import DEFAULT_STATE_CAP
 
 from conftest import time_limit
 
@@ -192,3 +193,191 @@ def test_verify_json_stability(files, capsys):
     assert capsys.readouterr().out == first
     payload = json.loads(first)
     assert payload["passed"] is True
+    assert payload["config"] == {"seed": 11, "trials": 3, "state_cap": DEFAULT_STATE_CAP}
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "4", "--trials", "0"],
+    ["verify", "6", "--trials", "-3", "--json"],
+])
+def test_verify_rejects_trials_below_one(argv, capsys):
+    # a run of no checks must not report a pass
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--trials must be at least 1" in captured.err
+
+
+QUERIES = {
+    "score": ["score", "e.dodg", "-c", "a"],
+    "winner": ["winner", "e.dodg"],
+    "ranking": ["ranking", "e.dodg", "-c", "a", "-d", "b"],
+    "2er": ["2er", "e.dodg:a", "f.dodg:b"],
+    "oracle": ["oracle", "e.dodg", "-c", "a"],
+    "reduce": ["reduce", "3dm", "m.3dm", "-o", "out"],
+}
+INERT_FLAGS = [
+    (command, flag)
+    for command in ("score", "winner", "ranking", "2er", "reduce")
+    for flag in ("--seed", "--trials", "--oracle-cap")
+] + [("oracle", "--state-cap"), ("reduce", "--state-cap")]
+
+
+@pytest.mark.parametrize("command, flag", INERT_FLAGS)
+def test_flags_a_command_does_not_read_are_rejected(command, flag, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(QUERIES[command] + [flag, "1"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# --- golden outputs of every reduce kind -------------------------------------
+
+BAD_3DM = "this is not a matching instance"
+REDUCE_INPUTS = {
+    "cycle.dodg": CYCLE, "t1.dodg": T1, "t2b.dodg": T2_DISJOINT, "even.dodg": EVEN,
+    "yes2.3dm": YES2_3DM, "bad.3dm": BAD_3DM,
+}
+# case -> (reduce arguments, -o prefix)
+REDUCE_CASES = {
+    "3dm": (["3dm", "yes2.3dm"], "out"),
+    "3dm-malformed": (["3dm", "bad.3dm"], "out"),
+    "sum": (["sum", "t1.dodg:1", "t2b.dodg:u1", "cycle.dodg:a"], "out"),
+    "merge": (["merge", "cycle.dodg:a", "t1.dodg:1"], "out"),
+    "merge-swapped": (["merge", "t1.dodg:1", "cycle.dodg:a"], "out"),
+    "merge-prime": (["merge-prime", "cycle.dodg:a", "t2b.dodg:u1"], "out"),
+    "wagner-g": (["wagner-g", "yes2.3dm", "bad.3dm"], "res/out.v1"),
+    "2er-to-ranking": (["2er-to-ranking", "t1.dodg:1", "t2b.dodg:u1"], "out"),
+    "2er-to-winner": (["2er-to-winner", "cycle.dodg:b", "t1.dodg:1"], "out"),
+    "2er-sentinel-even": (["2er-to-winner", "even.dodg:a", "t1.dodg:1"], "out"),
+    "2er-sentinel-unknown": (["2er-to-ranking", "t1.dodg:zz", "t1.dodg:1"], "out"),
+}
+
+
+def reduce_digests(workdir, arguments, out):
+    """Run one reduce case in text and in --json mode inside ``workdir``;
+    sha256 of both stdouts and of every file the runs wrote."""
+    import contextlib
+    import hashlib
+    import io
+    import os
+
+    def sha(data: str) -> str:
+        return hashlib.sha256(data.encode("utf-8")).hexdigest()
+
+    workdir.mkdir()
+    for name, text in REDUCE_INPUTS.items():
+        (workdir / name).write_text(text)
+    digests = {}
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        for mode, extra in (("text", []), ("json", ["--json"])):
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                digests[f"{mode} exit"] = main(["reduce", *arguments, "-o", out, *extra])
+            digests[f"{mode} stdout"] = sha(stdout.getvalue())
+    finally:
+        os.chdir(cwd)
+    for path in sorted(workdir.rglob("*")):
+        name = path.relative_to(workdir).as_posix()
+        if path.is_file() and name not in REDUCE_INPUTS:
+            digests[name] = sha(path.read_text(encoding="utf-8"))
+    return digests
+
+
+REDUCE_GOLDEN = {
+    "2er-sentinel-even": {
+        "text exit": 0,
+        "text stdout": "44250775bcf46577ed7a93ec31d313a8fba4c4ca3f2691f2a570286540e863c3",
+        "json exit": 0,
+        "json stdout": "f370cd572a0e0d0cbaf76b0bb7b217ac70596b16411af0d3cc026b8f39e5fedb",
+        "out.json": "a10457cef0197e91933b5e097973d472689c5ab4d2723163a5bb58dd476239a6",
+    },
+    "2er-sentinel-unknown": {
+        "text exit": 0,
+        "text stdout": "44250775bcf46577ed7a93ec31d313a8fba4c4ca3f2691f2a570286540e863c3",
+        "json exit": 0,
+        "json stdout": "90b7b4eb4ba1459bd82a8a74bcf2af55f79c27e02729249f5ea76b3bebad0e3d",
+        "out.json": "d0fcd3e1aff5f8bcc82ecde286e11305997f43fa2f60cb500fdbe363a4a71e04",
+    },
+    "2er-to-ranking": {
+        "text exit": 0,
+        "text stdout": "f8ea6515d593e1fa70de63e485ca74d3a47e43e299dbfd6c1b4ba70cabad75ae",
+        "json exit": 0,
+        "json stdout": "ae7f711c1dba313ea22556780b8dcf772f09313b2e4d354498d7a81cca484ffa",
+        "out.dodg": "6c12e531d5a7024ddc89c9d219c120ced23606c874fb324e447503e243a1eb90",
+        "out.json": "88c2ffc436c12953d3bcb38bcba0b96667f92d5538091826935fc3230f638e0e",
+    },
+    "2er-to-winner": {
+        "text exit": 0,
+        "text stdout": "04f0f8c8928bccb281927ed5e81783cb1a733ccb621c104ee3e8d519d2a0c03f",
+        "json exit": 0,
+        "json stdout": "93c2333957429b1adebc02dc35ecde7938d513e576723af563df2ed4cb8e2c3e",
+        "out.dodg": "43708258e24649311ff5a4124ad6b9129de52708c1fcc5025f7e5c32e9ac0bac",
+        "out.json": "c2882d3ba754abf5687cbb4e2b76c8e27cb789a83963eedba4640e40f39897fa",
+    },
+    "3dm": {
+        "text exit": 0,
+        "text stdout": "1ef479bb6a80f72046bf0ca7c366cfc5382eeb5a1eb69d63668c5a09cfd081b2",
+        "json exit": 0,
+        "json stdout": "0872fc4396df7bbd1c410c2d2c28346f9d569fd7f0d40640482dc3be50d800d8",
+        "out.dodg": "d709f5e929823b92b29002167a60b272950fc5d2992354d0f99f59920b46a82f",
+        "out.json": "771997b7d2e00aec523a3c0b4fe88a744ce6b97118ad687727416f15d97c1719",
+    },
+    "3dm-malformed": {
+        "text exit": 0,
+        "text stdout": "1ef479bb6a80f72046bf0ca7c366cfc5382eeb5a1eb69d63668c5a09cfd081b2",
+        "json exit": 0,
+        "json stdout": "0872fc4396df7bbd1c410c2d2c28346f9d569fd7f0d40640482dc3be50d800d8",
+        "out.dodg": "a735d318ccdd22a10d73167822285e4d4cdbd1bcaf95695083dd57f7e886a005",
+        "out.json": "71ed390f7942e5c9dab657a11f36bdc4c6b714076793b92438aef35519cef612",
+    },
+    "merge": {
+        "text exit": 0,
+        "text stdout": "5f0f318de297aef6babdea5374da5e71783ef1210e5bb7218e4a6feeab770f00",
+        "json exit": 0,
+        "json stdout": "b22887515d8bc5936aa304b8d0ef8c3167ac09a07c8368df1ed559d6b880c19f",
+        "out.dodg": "eca1bbd0e7e0f0c40ff83c562c3192e96885ad6987038cde2310e32a0c3cf8d4",
+        "out.json": "e3782b70fadb720e8b9413de9c0d417f9606362ff4bfd7cd1b30e19faf8d3d20",
+    },
+    "merge-prime": {
+        "text exit": 0,
+        "text stdout": "9c056955dd9ec884c9ec6834c9577aa6ac89e4658d81ff5a757e42b2c508a3fa",
+        "json exit": 0,
+        "json stdout": "7cf2904af8edd027b61c523edc4513a8568dfe2fb73d99fc6189fa304682a7ff",
+        "out.dodg": "28faf00980fa529b96efdc81c241b37a1d83e16261a6d7f9a50aef16cd236ccd",
+        "out.json": "c07dabf7a09054086a8df602581329ce2ff2db9f0197d09272310bdce1bf85e4",
+    },
+    "merge-swapped": {
+        "text exit": 0,
+        "text stdout": "5f0f318de297aef6babdea5374da5e71783ef1210e5bb7218e4a6feeab770f00",
+        "json exit": 0,
+        "json stdout": "b22887515d8bc5936aa304b8d0ef8c3167ac09a07c8368df1ed559d6b880c19f",
+        "out.dodg": "a3d74b3f7d4001153c36763b47ea15d29b70881a1b72a7a656e993f1de123d54",
+        "out.json": "c7b529be123e4bd67e954e321ef070097853635a279a7e7580540056b8e33c36",
+    },
+    "sum": {
+        "text exit": 0,
+        "text stdout": "4079b20e1b8340974df33aeca825a201ac139d32919ea8df1d0d6123835bb231",
+        "json exit": 0,
+        "json stdout": "8b3d5bfbbc9af344b5d52c86baa7fc2a50b2c0537a5aa85e81f7cdac883e2501",
+        "out.dodg": "68fba226cc6e5a3b91a9f740134a056034aa671238b4323b42f75816135d42b1",
+        "out.json": "d9868e17685c8a6a1b91db31e33b59bfa5a028a55d6d2eb5a5b85777bf2de8d0",
+    },
+    "wagner-g": {
+        "text exit": 0,
+        "text stdout": "5b65933182e88dfaa6ac07bfbb359e97a630841dea630fb5f19724ca435925c6",
+        "json exit": 0,
+        "json stdout": "272fafd21d263b946452add928d5d19970424ebe8eb7e4c3cf4c6488fdf72bea",
+        "res/out.json": "dc4f74dd7ecc21d9d74e8926b5901c48ef5692d3cc3586ae2ca9b23599de930f",
+        "res/out.v1.left.dodg": "a54ff3a58e3c49255fbfa526254cfb09329c90fa5ec6810ade5a6e3ce9f5278a",
+        "res/out.v1.right.dodg": "af84e7a8c6e300a67c3379940fa269ec5c9d2a42638ed841ae996bb467d2411c",
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(REDUCE_CASES))
+def test_reduce_outputs_are_golden(case, tmp_path):
+    arguments, out = REDUCE_CASES[case]
+    assert reduce_digests(tmp_path / case, arguments, out) == REDUCE_GOLDEN[case]
