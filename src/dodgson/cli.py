@@ -2,7 +2,8 @@
 
 Exit codes follow a scripting convention: 0 for success (and true decisions),
 1 for false decisions, 2 for parse or validation problems, 3 for a property
-violation found by ``verify``.
+violation found by ``verify``, 4 for an unexpected internal error (never 1,
+which would read as a "false" answer).
 
 Designated candidates are never stored in .dodg files; they are passed as
 ``-c`` flags or ``file:candidate`` arguments so one election file can serve
@@ -45,6 +46,7 @@ EXIT_OK = 0
 EXIT_FALSE = 1
 EXIT_INPUT = 2
 EXIT_VIOLATION = 3
+EXIT_UNKNOWN = 4
 
 
 class _Input(ValueError):
@@ -385,6 +387,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_UNKNOWN
 
 
 def run() -> None:

@@ -402,10 +402,17 @@ def score_oracle(triple: DodgsonTriple, cap: int = DEFAULT_ORACLE_CAP) -> int | 
     """Breadth-first search over whole profiles, one adjacent exchange anywhere
     per edge — the literal sequential-switch semantics.
 
-    Profiles are canonicalized as sorted order multisets (switch cost is
-    voter-anonymous).  Returns the first depth at which the designated
-    candidate is a Condorcet winner, or None once ``cap`` is exceeded.
-    Intended for desk scale (roughly <= 4 candidates, <= 5 voters).
+    Profiles are canonicalized as sorted multisets of interned order ids
+    (switch cost is voter-anonymous).  Every adjacent exchange of every
+    distinct voter order is an edge, whether or not it moves the designated
+    candidate.  Each state carries, per opponent, how many voters rank the
+    designated candidate above it and how many opponents are still short of a
+    majority; an exchange that moves the designated candidate changes one
+    count by one, any other exchange changes none, so the goal test needs no
+    recount.  Returns the first depth at which the designated candidate is a
+    Condorcet winner, or None once ``cap`` is exceeded.  The 9-candidate,
+    3-voter reductions of the canonical 3DM instances take about 1 s (yes,
+    score 6) and 5 s (no, score 7).
     """
     if cap < 0:
         raise ValueError(f"cap must be non-negative, got {cap}")
@@ -414,38 +421,78 @@ def score_oracle(triple: DodgsonTriple, cap: int = DEFAULT_ORACLE_CAP) -> int | 
     c = index[triple.designated]
     size = len(election.candidates)
     need = majority_threshold(election.n)
-    others = [i for i in range(size) if i != c]
+    ids: dict[tuple[int, ...], int] = {}
+    orders: list[tuple[int, ...]] = []
+    moves: list[list[tuple[int, int, int]] | None] = []
 
-    def wins(state: tuple[tuple[int, ...], ...]) -> bool:
-        positions = [{cand: pos for pos, cand in enumerate(order)} for order in state]
-        for d in others:
-            if sum(1 for pos in positions if pos[c] > pos[d]) < need:
-                return False
-        return True
+    def intern(order: tuple[int, ...]) -> int:
+        oid = ids.get(order)
+        if oid is None:
+            oid = ids[order] = len(orders)
+            orders.append(order)
+            moves.append(None)
+        return oid
 
-    start = tuple(sorted(tuple(index[x] for x in order.ranking) for order in election.profile.orders()))
-    if wins(start):
+    def moves_of(oid: int) -> list[tuple[int, int, int]]:
+        """(successor id, opponent the designated candidate passes or -1, ±1)
+        for each adjacent exchange of order ``oid``; built on first use."""
+        found = moves[oid]
+        if found is None:
+            order = orders[oid]
+            found = []
+            for p in range(size - 1):
+                low, high = order[p], order[p + 1]
+                swapped = intern(order[:p] + (high, low) + order[p + 2:])
+                if low == c:
+                    found.append((swapped, high, 1))
+                elif high == c:
+                    found.append((swapped, low, -1))
+                else:
+                    found.append((swapped, -1, 0))
+            moves[oid] = found
+        return found
+
+    start_orders = [tuple(index[x] for x in order.ranking) for order in election.profile.orders()]
+    start_above = [0] * size
+    for order in start_orders:
+        for d in order[: order.index(c)]:
+            start_above[d] += 1
+    short = sum(1 for d in range(size) if d != c and start_above[d] < need)
+    if short == 0:
         return 0
+    start = tuple(sorted(intern(order) for order in start_orders))
     visited = {start}
-    frontier = [start]
+    tallies: dict[tuple[int, ...], tuple[int, ...]] = {}
+    frontier = [(start, tuple(start_above), short)]
     depth = 0
     while frontier and depth < cap:
         depth += 1
         nxt = []
-        for state in frontier:
-            entries = list(state)
-            for vi, order in enumerate(entries):
-                if vi and order == entries[vi - 1]:
+        for state, above, short in frontier:
+            for vi, oid in enumerate(state):
+                if vi and oid == state[vi - 1]:
                     continue  # duplicate voter: identical successor states
-                for p in range(size - 1):
-                    swapped = order[:p] + (order[p + 1], order[p]) + order[p + 2:]
-                    successor = tuple(sorted(entries[:vi] + [swapped] + entries[vi + 1:]))
+                rest = state[:vi] + state[vi + 1:]
+                for nid, d, delta in moves_of(oid):
+                    k = bisect_left(rest, nid)
+                    successor = rest[:k] + (nid,) + rest[k:]
                     if successor in visited:
                         continue
                     visited.add(successor)
-                    if wins(successor):
-                        return depth
-                    nxt.append(successor)
+                    if delta == 0:
+                        # the parent did not win, so neither does this state
+                        nxt.append((successor, above, short))
+                        continue
+                    count = above[d]
+                    moved = above[:d] + (count + delta,) + above[d + 1:]
+                    moved = tallies.setdefault(moved, moved)  # few distinct tallies: share them
+                    if delta > 0:
+                        now_short = short - (count + 1 == need)
+                        if now_short == 0:
+                            return depth
+                    else:
+                        now_short = short + (count == need)
+                    nxt.append((successor, moved, now_short))
         frontier = nxt
     return None
 

@@ -176,6 +176,21 @@ def test_verify_failure_writes_fixtures_and_exits_three(tmp_path, capsys, monkey
     assert written, "expected a replayable counterexample fixture"
 
 
+@pytest.mark.parametrize("error", [RuntimeError("boom"), MemoryError("out of room")])
+def test_unexpected_exception_exits_four(error, files, capsys, monkeypatch):
+    # exit 1 is the "false" answer, so a crash must not produce it
+    import dodgson.cli as cli
+
+    def crash(args):
+        raise error
+
+    monkeypatch.setitem(cli._HANDLERS, "oracle", crash)
+    assert main(["oracle", files["cycle.dodg"], "-c", "c"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: internal: {type(error).__name__}: {error}\n"
+
+
 def test_json_output_is_byte_stable(files, capsys):
     args = ["score", files["cycle.dodg"], "-c", "c", "--witness", "--json"]
     assert main(args) == 0

@@ -76,8 +76,7 @@ def test_reduction_shape_and_scores():
 
 
 def test_reduction_scores_confirmed_by_bfs_oracle():
-    # independent confirmation by the literal switch-by-switch search;
-    # the canonical gadgets are the largest elections the oracle can take
+    # independent confirmation by the literal switch-by-switch search
     from dodgson import score_oracle
 
     yes = reduce_3dm(CANONICAL_YES)

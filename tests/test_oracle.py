@@ -1,0 +1,166 @@
+"""The breadth-first oracle against a literal recount reference, and the
+voter-type exact search against the oracle on grouped profiles."""
+
+import itertools
+import random
+
+import pytest
+
+from dodgson import (
+    DodgsonTriple,
+    Election,
+    PreferenceOrder,
+    VoterProfile,
+    condorcet_winner,
+    score_exact,
+    score_oracle,
+    unit_chain,
+)
+from dodgson.elections import majority_threshold
+
+
+def _reference_oracle(triple: DodgsonTriple, cap: int = 20) -> int | None:
+    """The oracle as first written: profiles as sorted tuples of orders, and a
+    full recount of every pairwise contest at each newly visited state."""
+    if cap < 0:
+        raise ValueError(f"cap must be non-negative, got {cap}")
+    election = triple.election
+    index = {name: i for i, name in enumerate(election.candidates)}
+    c = index[triple.designated]
+    size = len(election.candidates)
+    need = majority_threshold(election.n)
+    others = [i for i in range(size) if i != c]
+
+    def wins(state: tuple[tuple[int, ...], ...]) -> bool:
+        positions = [{cand: pos for pos, cand in enumerate(order)} for order in state]
+        for d in others:
+            if sum(1 for pos in positions if pos[c] > pos[d]) < need:
+                return False
+        return True
+
+    start = tuple(sorted(
+        tuple(index[x] for x in order.ranking) for order in election.profile.orders()
+    ))
+    if wins(start):
+        return 0
+    visited = {start}
+    frontier = [start]
+    depth = 0
+    while frontier and depth < cap:
+        depth += 1
+        nxt = []
+        for state in frontier:
+            entries = list(state)
+            for vi, order in enumerate(entries):
+                if vi and order == entries[vi - 1]:
+                    continue  # duplicate voter: identical successor states
+                for p in range(size - 1):
+                    swapped = order[:p] + (order[p + 1], order[p]) + order[p + 2:]
+                    successor = tuple(sorted(entries[:vi] + [swapped] + entries[vi + 1:]))
+                    if successor in visited:
+                        continue
+                    visited.add(successor)
+                    if wins(successor):
+                        return depth
+                    nxt.append(successor)
+        frontier = nxt
+    return None
+
+
+def _triples(e: Election):
+    return [DodgsonTriple(e, name) for name in e.candidates]
+
+
+def _random_orders(rng: random.Random, candidates: str, count: int) -> list[PreferenceOrder]:
+    return [PreferenceOrder(tuple(rng.sample(candidates, len(candidates)))) for _ in range(count)]
+
+
+def _grouped(rng: random.Random, candidates: str, voters: int, groups: int) -> Election:
+    """``voters`` voters over ``groups`` distinct orders, each held by at least one."""
+    perms = list(itertools.permutations(candidates))
+    orders = [PreferenceOrder(p) for p in rng.sample(perms, groups)]
+    cuts = sorted(rng.sample(range(1, voters), groups - 1))
+    mults = [b - a for a, b in zip([0] + cuts, cuts + [voters])]
+    return Election(tuple(candidates), VoterProfile(tuple(zip(orders, mults))))
+
+
+# --- the oracle against the literal reference ----------------------------------
+
+
+def test_oracle_matches_reference_on_every_small_profile():
+    checked = 0
+    for size in (1, 2, 3):
+        candidates = tuple("abc"[:size])
+        orders = [PreferenceOrder(p) for p in itertools.permutations(candidates)]
+        for voters in (1, 2, 3):
+            for combo in itertools.combinations_with_replacement(orders, voters):
+                for t in _triples(Election(candidates, VoterProfile.from_orders(combo))):
+                    assert score_oracle(t) == _reference_oracle(t), (combo, t.designated)
+                    checked += 1
+    assert checked == 1 * (1 + 1 + 1) + 2 * (2 + 3 + 4) + 3 * (6 + 21 + 56)
+
+
+def test_oracle_matches_reference_on_seeded_4x5_profiles():
+    # one seeded designated candidate per profile keeps the reference's
+    # recounts within a second or so
+    rng = random.Random("oracle:4x5")
+    for _ in range(40):
+        e = Election(tuple("abcd"), VoterProfile.from_orders(_random_orders(rng, "abcd", 5)))
+        t = DodgsonTriple(e, rng.choice("abcd"))
+        assert score_oracle(t) == _reference_oracle(t), (e, t.designated)
+
+
+def test_oracle_cap_edges_match_reference():
+    rng = random.Random("oracle:caps")
+    seen_positive = 0
+    for _ in range(10):
+        e = Election(tuple("abcd"), VoterProfile.from_orders(_random_orders(rng, "abcd", 3)))
+        for t in _triples(e):
+            score = _reference_oracle(t)
+            assert score_oracle(t, cap=score) == _reference_oracle(t, cap=score) == score
+            if score:
+                seen_positive += 1
+                assert score_oracle(t, cap=score - 1) is None
+                assert _reference_oracle(t, cap=score - 1) is None
+    assert seen_positive
+    with pytest.raises(ValueError):
+        score_oracle(unit_chain(1), cap=-1)
+
+
+def test_oracle_cap_zero_on_a_condorcet_winner():
+    e = Election(tuple("abc"), VoterProfile.from_orders(
+        [PreferenceOrder.from_string(s) for s in ("a<b<c", "b<a<c", "a<c<b")]
+    ))
+    assert condorcet_winner(e) == "c"
+    t = DodgsonTriple(e, "c")
+    assert score_oracle(t, cap=0) == _reference_oracle(t, cap=0) == 0
+    assert score_oracle(DodgsonTriple(e, "a"), cap=0) is None
+
+
+def test_oracle_matches_reference_on_unit_chain():
+    t = unit_chain(5)
+    assert score_oracle(t) == _reference_oracle(t) == 5
+
+
+# --- the voter-type search against the oracle ------------------------------------
+
+
+@pytest.mark.parametrize(
+    "candidates, voters, groups, count",
+    [("abc", 7, 3, 60), ("abc", 9, 2, 60), ("abcd", 5, 2, 40)],
+)
+def test_exact_matches_oracle_on_grouped_profiles(candidates, voters, groups, count):
+    rng = random.Random(f"oracle:groups:{candidates}:{voters}:{groups}")
+    for _ in range(count):
+        e = _grouped(rng, candidates, voters, groups)
+        assert e.n == voters and len(e.profile.groups) == groups
+        for t in _triples(e):
+            assert score_exact(t).score == score_oracle(t), (e, t.designated)
+
+
+def test_exact_matches_oracle_on_five_candidates_three_voters():
+    rng = random.Random("oracle:5x3")
+    for _ in range(60):
+        e = Election(tuple("abcde"), VoterProfile.from_orders(_random_orders(rng, "abcde", 3)))
+        for t in _triples(e):
+            assert score_exact(t).score == score_oracle(t), (e, t.designated)
