@@ -13,7 +13,6 @@ from .elections import (
     ParseError,
     PreferenceOrder,
     VoterProfile,
-    apply_switch,
     condorcet_winner,
     deficit_vector,
     pairwise_tally,
@@ -27,7 +26,6 @@ from .gadgets import (
     Sentinel,
     TwoERInstance,
     dodgson_sum,
-    matching_to_dodgson,
     merge,
     merge_prime,
     normalize_matching,
@@ -69,7 +67,6 @@ __all__ = [
     "DodgsonTriple",
     "PairwiseTally",
     "ParseError",
-    "apply_switch",
     "condorcet_winner",
     "deficit_vector",
     "pairwise_tally",
@@ -99,7 +96,6 @@ __all__ = [
     "Sentinel",
     "SENTINEL",
     "normalize_matching",
-    "matching_to_dodgson",
     "reduce_3dm",
     "unit_chain",
     "dodgson_sum",

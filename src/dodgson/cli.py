@@ -61,18 +61,22 @@ def _load_election(path: str):
     return parse_election(text)
 
 
+def _require_candidate(election, name: str, path: str):
+    if name not in election.candidates:
+        raise _Input(f"unknown candidate {name!r} in {path}")
+
+
+def _load_designated(path: str, name: str) -> DodgsonTriple:
+    election = _load_election(path)
+    _require_candidate(election, name, path)
+    return DodgsonTriple(election, name)
+
+
 def _load_triple(ref: str) -> DodgsonTriple:
     path, sep, candidate = ref.rpartition(":")
     if not sep or not path:
         raise _Input(f"expected 'file:candidate', got {ref!r}")
-    election = _load_election(path)
-    _require_candidate(election, candidate, path)
-    return DodgsonTriple(election, candidate)
-
-
-def _require_candidate(election, name: str, path: str):
-    if name not in election.candidates:
-        raise _Input(f"unknown candidate {name!r} in {path}")
+    return _load_designated(path, candidate)
 
 
 def _emit(payload: dict, lines: list[str], as_json: bool) -> None:
@@ -81,6 +85,11 @@ def _emit(payload: dict, lines: list[str], as_json: bool) -> None:
     else:
         for line in lines:
             print(line)
+
+
+def _decide(payload: dict, verdict: bool, as_json: bool) -> int:
+    _emit(payload, [str(verdict).lower()], as_json)
+    return EXIT_OK if verdict else EXIT_FALSE
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -143,20 +152,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_score(args) -> int:
-    election = _load_election(args.file)
-    _require_candidate(election, args.candidate, args.file)
-    triple = DodgsonTriple(election, args.candidate)
+    triple = _load_designated(args.file, args.candidate)
     if args.at_most is not None:
         if args.at_most < 0:
             raise _Input("--at-most must be non-negative")
         verdict = score_decision(triple, args.at_most, state_cap=args.state_cap)
-        _emit(
-            {"command": "score", "candidate": args.candidate, "at_most": args.at_most,
-             "decision": verdict},
-            [str(verdict).lower()],
-            args.json,
-        )
-        return EXIT_OK if verdict else EXIT_FALSE
+        return _decide({"command": "score", "candidate": args.candidate,
+                        "at_most": args.at_most, "decision": verdict}, verdict, args.json)
     result = score_exact(triple, state_cap=args.state_cap)
     lines = [f"score: {result.score}"]
     payload = {"command": "score", "candidate": args.candidate, "score": result.score}
@@ -168,16 +170,11 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_winner(args) -> int:
-    election = _load_election(args.file)
     if args.candidate is not None:
-        _require_candidate(election, args.candidate, args.file)
-        verdict = is_winner(DodgsonTriple(election, args.candidate), state_cap=args.state_cap)
-        _emit(
-            {"command": "winner", "candidate": args.candidate, "winner": verdict},
-            [str(verdict).lower()],
-            args.json,
-        )
-        return EXIT_OK if verdict else EXIT_FALSE
+        verdict = is_winner(_load_designated(args.file, args.candidate), state_cap=args.state_cap)
+        return _decide({"command": "winner", "candidate": args.candidate, "winner": verdict},
+                       verdict, args.json)
+    election = _load_election(args.file)
     scores = all_scores(election, state_cap=args.state_cap)
     low = min(scores.values())
     winners = [name for name in election.candidates if scores[name] == low]
@@ -192,31 +189,20 @@ def _cmd_ranking(args) -> int:
     for name in (args.candidate, args.other):
         _require_candidate(election, name, args.file)
     verdict = ranks_at_least(election, args.candidate, args.other, state_cap=args.state_cap)
-    _emit(
-        {"command": "ranking", "first": args.candidate, "second": args.other,
-         "ranks_at_least": verdict},
-        [str(verdict).lower()],
-        args.json,
-    )
-    return EXIT_OK if verdict else EXIT_FALSE
+    return _decide({"command": "ranking", "first": args.candidate, "second": args.other,
+                    "ranks_at_least": verdict}, verdict, args.json)
 
 
 def _cmd_2er(args) -> int:
     left = _load_triple(args.left)
     right = _load_triple(args.right)
     verdict = two_election_ranking(left, right, state_cap=args.state_cap)
-    _emit(
-        {"command": "2er", "left": args.left, "right": args.right, "member": verdict},
-        [str(verdict).lower()],
-        args.json,
-    )
-    return EXIT_OK if verdict else EXIT_FALSE
+    return _decide({"command": "2er", "left": args.left, "right": args.right, "member": verdict},
+                   verdict, args.json)
 
 
 def _cmd_oracle(args) -> int:
-    election = _load_election(args.file)
-    _require_candidate(election, args.candidate, args.file)
-    found = score_oracle(DodgsonTriple(election, args.candidate), args.oracle_cap)
+    found = score_oracle(_load_designated(args.file, args.candidate), args.oracle_cap)
     lines = [f"score: {found}" if found is not None else f"unknown (cap {args.oracle_cap} exceeded)"]
     _emit(
         {"command": "oracle", "candidate": args.candidate, "score": found,
@@ -320,8 +306,7 @@ def _cmd_reduce(args) -> int:
     files, info, extra, summary = _REDUCERS[args.kind](args.kind, args.inputs)
     written = []
     for suffix, (election, designated) in files.items():
-        # the main output replaces the prefix's suffix; the two sides extend it
-        path = out.with_suffix(suffix) if suffix == ".dodg" else out.parent / (out.name + suffix)
+        path = out.with_suffix(suffix)
         header = f"# designated: {designated}\n" if designated is not None else ""
         path.write_text(header + serialize_election(election), encoding="utf-8")
         written.append(str(path))

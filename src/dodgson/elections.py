@@ -1,5 +1,5 @@
 """Core election model: strict preference orders, voter multisets, pairwise
-tallies, Condorcet tests, and adjacent-switch semantics.
+tallies, Condorcet tests, and raises by adjacent switches.
 
 A preference order is stored ascending: index 0 holds the least preferred
 candidate and the last entry the favourite, so ``a<b<c`` means c is liked
@@ -28,7 +28,6 @@ __all__ = [
     "majority_threshold",
     "pairwise_tally",
     "condorcet_winner",
-    "apply_switch",
     "deficit_vector",
     "parse_election",
     "serialize_election",
@@ -83,16 +82,6 @@ class PreferenceOrder:
     def position(self, name: str) -> int:
         return self.ranking.index(name)
 
-    def switched(self, position: int) -> "PreferenceOrder":
-        """Exchange the entries at ``position`` and ``position + 1``."""
-        if not 0 <= position < len(self.ranking) - 1:
-            raise IndexError(
-                f"switch position {position} out of range for {len(self.ranking)} candidates"
-            )
-        entries = list(self.ranking)
-        entries[position], entries[position + 1] = entries[position + 1], entries[position]
-        return PreferenceOrder(tuple(entries))
-
     def raised(self, name: str, steps: int) -> "PreferenceOrder":
         """Move ``name`` upward by ``steps`` adjacent exchanges."""
         pos = self.position(name)
@@ -142,26 +131,6 @@ class VoterProfile:
         for order, mult in self.groups:
             for _ in range(mult):
                 yield order
-
-
-def apply_switch(profile: VoterProfile, voter_index: int, position: int) -> VoterProfile:
-    """Exchange two adjacent entries in one voter's order; cost of one switch.
-
-    The addressed voter's group is split so every other voter is untouched.
-    """
-    offset = 0
-    for gi, (order, mult) in enumerate(profile.groups):
-        if voter_index < offset + mult:
-            local = voter_index - offset
-            pieces: list[tuple[PreferenceOrder, int]] = []
-            if local:
-                pieces.append((order, local))
-            pieces.append((order.switched(position), 1))
-            if mult - local - 1:
-                pieces.append((order, mult - local - 1))
-            return VoterProfile(profile.groups[:gi] + tuple(pieces) + profile.groups[gi + 1:])
-        offset += mult
-    raise IndexError(f"voter index {voter_index} out of range for {profile.n} voters")
 
 
 @dataclass(frozen=True)

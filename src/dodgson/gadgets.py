@@ -25,7 +25,6 @@ __all__ = [
     "Sentinel",
     "SENTINEL",
     "normalize_matching",
-    "matching_to_dodgson",
     "reduce_3dm",
     "unit_chain",
     "dodgson_sum",
@@ -153,7 +152,13 @@ def normalize_matching(value: object) -> MatchingInstance:
     return CANONICAL_NO
 
 
-def _matching_gadget(instance: MatchingInstance) -> tuple[ReducedInstance, dict]:
+def build_reduction(value: object) -> tuple[ReducedInstance, dict]:
+    """Totalized matching reduction: normalize, then build the score gadget.
+
+    The output's score equals the threshold (3q) exactly when the normalized
+    instance has a matching, and threshold + 1 otherwise.
+    """
+    instance = normalize_matching(value)
     tokens = instance.tokens()
     used = set(tokens)
     c = _fresh("c", used)
@@ -182,25 +187,8 @@ def _matching_gadget(instance: MatchingInstance) -> tuple[ReducedInstance, dict]
         "q": instance.q,
         "triple_count": len(instance.triples),
         "voter_groups": writer.boundaries,
+        "normalized": not (isinstance(value, MatchingInstance) and value == instance),
     }
-    return reduced, info
-
-
-def matching_to_dodgson(instance: MatchingInstance) -> ReducedInstance:
-    """The core reduction; requires a valid instance with more than one triple.
-
-    Score of the output equals the threshold (3q) exactly when the instance
-    has a matching, and threshold + 1 otherwise.
-    """
-    if not isinstance(instance, MatchingInstance) or len(instance.triples) <= 1:
-        raise ValueError("reduction core needs a matching instance with more than one triple")
-    return _matching_gadget(instance)[0]
-
-
-def build_reduction(value: object) -> tuple[ReducedInstance, dict]:
-    instance = normalize_matching(value)
-    reduced, info = _matching_gadget(instance)
-    info["normalized"] = not (isinstance(value, MatchingInstance) and value == instance)
     return reduced, info
 
 
@@ -248,6 +236,12 @@ def build_sum(triples: Sequence[DodgsonTriple]) -> tuple[DodgsonTriple, dict]:
     block: c's standing against a block's candidates depends only on the
     voters simulating that block.
     """
+    return _sum(triples, "c")
+
+
+def _sum(triples: Sequence[DodgsonTriple], name: str) -> tuple[DodgsonTriple, dict]:
+    """:func:`build_sum`, with the unified designated candidate called
+    ``name``.  Every other candidate is a ``b{i}_*`` or an ``s{j}``."""
     if not triples:
         raise ValueError("need at least one election to sum")
     for triple in triples:
@@ -259,9 +253,8 @@ def build_sum(triples: Sequence[DodgsonTriple]) -> tuple[DodgsonTriple, dict]:
     s_list = [f"s{j}" for j in range(1, s_count + 1)]
     writer = _GroupWriter()
     for i, triple in enumerate(triples, start=1):
-        rename = dict(maps[i - 1])
-        rename[triple.designated] = "c"
-        prefix = s_list + [name for j, block in enumerate(lists, start=1) if j != i for name in block]
+        rename = {**maps[i - 1], triple.designated: name}
+        prefix = s_list + [other for j, block in enumerate(lists, start=1) if j != i for other in block]
         for order, mult in triple.election.profile.groups:
             writer.emit(prefix + [rename[x] for x in order.ranking], mult, f"simulates-{i}")
     # Normalizing voters: block i sits above the separators for exactly
@@ -271,9 +264,9 @@ def build_sum(triples: Sequence[DodgsonTriple]) -> tuple[DodgsonTriple, dict]:
     previous: list[str] | None = None
     run = 0
     for q in range(1, total_n):
-        left = [name for i in range(len(triples)) if q > thresholds[i] for name in lists[i]]
-        right = [name for i in range(len(triples)) if q <= thresholds[i] for name in lists[i]]
-        order = left + ["c"] + s_list + right
+        left = [other for i in range(len(triples)) if q > thresholds[i] for other in lists[i]]
+        right = [other for i in range(len(triples)) if q <= thresholds[i] for other in lists[i]]
+        order = left + [name] + s_list + right
         if order == previous:
             run += 1
             continue
@@ -282,18 +275,18 @@ def build_sum(triples: Sequence[DodgsonTriple]) -> tuple[DodgsonTriple, dict]:
         previous, run = order, 1
     if previous is not None:
         writer.emit(previous, run, "normalizer")
-    candidates = ["c"] + [name for block in lists for name in block] + s_list
+    candidates = [name] + [other for block in lists for other in block] + s_list
     election = Election(tuple(candidates), writer.profile())
     info = {
         "kind": "sum",
-        "designated": "c",
+        "designated": name,
         "separators": {"s": s_count},
         "designated_origins": {str(i): t.designated for i, t in enumerate(triples, start=1)},
         "rename_map": origins,
         "voter_groups": writer.boundaries,
         "blocks": len(triples),
     }
-    return DodgsonTriple(election, "c"), info
+    return DodgsonTriple(election, name), info
 
 
 def dodgson_sum(triples: Sequence[DodgsonTriple]) -> DodgsonTriple:
@@ -302,22 +295,6 @@ def dodgson_sum(triples: Sequence[DodgsonTriple]) -> DodgsonTriple:
 
 
 # --- parity combiner ---------------------------------------------------------
-
-
-def _rename_designated(triple: DodgsonTriple, new_name: str) -> DodgsonTriple:
-    old = triple.designated
-    if new_name in triple.election.candidates:
-        raise ValueError(f"{new_name!r} already occurs in the election")
-
-    def rename(name: str) -> str:
-        return new_name if name == old else name
-
-    groups = tuple(
-        (PreferenceOrder(tuple(rename(x) for x in order.ranking)), mult)
-        for order, mult in triple.election.profile.groups
-    )
-    candidates = tuple(rename(name) for name in triple.election.candidates)
-    return DodgsonTriple(Election(candidates, VoterProfile(groups)), new_name)
 
 
 def build_parity_combiner(inputs: Sequence[object]) -> tuple[TwoERInstance, dict]:
@@ -335,9 +312,8 @@ def build_parity_combiner(inputs: Sequence[object]) -> tuple[TwoERInstance, dict
     thresholds = [r.threshold for r in reduced]
     left_chain = unit_chain(1 + sum(thresholds[1::2]))
     right_chain = unit_chain(sum(thresholds[0::2]))
-    left, left_info = build_sum([r.triple for r in reduced[0::2]] + [left_chain])
-    right, right_info = build_sum([r.triple for r in reduced[1::2]] + [right_chain])
-    right = _rename_designated(right, "d")
+    left, left_info = _sum([r.triple for r in reduced[0::2]] + [left_chain], "c")
+    right, right_info = _sum([r.triple for r in reduced[1::2]] + [right_chain], "d")
     instance = TwoERInstance(left, right)
     info = {
         "kind": "wagner-g",
@@ -375,21 +351,17 @@ def build_merge(t1: DodgsonTriple, t2: DodgsonTriple) -> tuple[RankingInstance, 
     if t1.designated == t2.designated:
         raise ValueError("designated candidates must differ")
     maps, lists, origins = _renamed_blocks([t1, t2])
-    rename1 = dict(maps[0])
-    rename1[t1.designated] = "c"
-    rename2 = dict(maps[1])
-    rename2[t2.designated] = "d"
+    # per input: triple, designated name, rename map, block list, voter label;
+    # the input with more voters plays the big role
+    sides = [
+        (t1, "c", {**maps[0], t1.designated: "c"}, lists[0], "simulates-first"),
+        (t2, "d", {**maps[1], t2.designated: "d"}, lists[1], "simulates-second"),
+    ]
     swapped = t1.election.n < t2.election.n
     if swapped:
-        big, small = t2, t1
-        big_name, small_name = "d", "c"
-        big_rename, small_rename = rename2, rename1
-        big_list, small_list = lists[1], lists[0]
-    else:
-        big, small = t1, t2
-        big_name, small_name = "c", "d"
-        big_rename, small_rename = rename1, rename2
-        big_list, small_list = lists[0], lists[1]
+        sides.reverse()
+    big, big_name, big_rename, big_list, big_label = sides[0]
+    small, small_name, small_rename, small_list, small_label = sides[1]
     v_count, w_count = big.election.n, small.election.n
     s_count = 2 * (
         len(big.election.candidates) * v_count + len(small.election.candidates) * w_count
@@ -401,13 +373,13 @@ def build_merge(t1: DodgsonTriple, t2: DodgsonTriple) -> tuple[RankingInstance, 
         writer.emit(
             [small_name] + s_list + small_list + t_list + [big_rename[x] for x in order.ranking],
             mult,
-            "simulates-first" if not swapped else "simulates-second",
+            big_label,
         )
     for order, mult in small.election.profile.groups:
         writer.emit(
             t_list + [big_name] + s_list + big_list + [small_rename[x] for x in order.ranking],
             mult,
-            "simulates-second" if not swapped else "simulates-first",
+            small_label,
         )
     half_v = (v_count + 1) // 2
     half_w = (w_count + 1) // 2

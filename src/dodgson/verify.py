@@ -21,6 +21,7 @@ from .elections import (
     Election,
     PreferenceOrder,
     VoterProfile,
+    parse_election,
     serialize_election,
 )
 from .gadgets import (
@@ -81,11 +82,23 @@ class PropertyCheck:
     fixtures: dict[str, str] = field(default_factory=dict)
 
 
-def _property(name: str, checked: int, failure: tuple[str, dict] | None) -> PropertyCheck:
-    """One property's result; ``failure`` is (detail, fixtures) of the first
-    counterexample, or None when every check passed."""
-    detail, fixtures = failure or ("", {})
-    return PropertyCheck(name, failure is None, checked, detail, fixtures)
+def _first_failures(cases, checks) -> list[PropertyCheck]:
+    """Run the (name, check) pairs on each case in turn, stopping at the first
+    counterexample.  A check returns None or the counterexample's (detail,
+    fixtures); every property reports the number of cases reached."""
+    checked = 0
+    failures: dict[str, tuple[str, dict]] = {}
+    for case in cases:
+        checked += 1
+        for name, check in checks:
+            failure = check(case)
+            if failure is not None:
+                failures[name] = failure
+                break
+        if failures:
+            break
+    return [PropertyCheck(name, name not in failures, checked, *failures.get(name, ("", {})))
+            for name, _ in checks]
 
 
 def trial_rng(seed: int, label: str, index: int) -> random.Random:
@@ -160,192 +173,157 @@ def verify_reduction_gap(config: RunConfig) -> list[PropertyCheck]:
         rng = trial_rng(config.seed, "q3", i)
         q3.append(random_matching(rng, 3, rng.randint(2, 12)))
 
-    def first_failure(instances, check):
-        checked = 0
-        for instance in instances:
-            checked += 1
-            detail = check(instance)
-            if detail:
-                return checked, (detail, {"counterexample.3dm": serialize_matching(instance)})
-        return checked, None
-
     def gap(instance):
         ok, detail = _check_gap(instance, config.state_cap)
-        return None if ok else detail
+        return None if ok else (detail, {"counterexample.3dm": serialize_matching(instance)})
 
-    def odd(instance):
-        n = reduce_3dm(instance).triple.election.n
-        return f"even voter count {n}" if n % 2 == 0 else None
-
-    return [
-        _property("score-gap-exhaustive-q2", *first_failure(q2, gap)),
-        _property("score-gap-random-q3", *first_failure(q3, gap)),
-        _property("reduction-output-odd-voters", *first_failure(q2 + q3, odd)),
-    ]
+    return (_first_failures(q2, [("score-gap-exhaustive-q2", gap)])
+            + _first_failures(q3, [("score-gap-random-q3", gap)]))
 
 
 # --- suite "4": sum additivity ------------------------------------------------
 
 
 def verify_sum_additivity(config: RunConfig) -> list[PropertyCheck]:
-    additivity_failure = None
-    shape_failure = None
-    checked = 0
-    for i in range(config.trials):
-        rng = trial_rng(config.seed, "sum", i)
-        parts = [
-            random_triple(rng, ("a", "b", "c", "d"), max_candidates=4)
-            for _ in range(rng.randint(1, 3))
-        ]
-        total, info = build_sum(parts)
-        checked += 1
+    def sums():
+        for i in range(config.trials):
+            rng = trial_rng(config.seed, "sum", i)
+            parts = [random_triple(rng, ("a", "b", "c", "d"), max_candidates=4)
+                     for _ in range(rng.randint(1, 3))]
+            total, info = build_sum(parts)
+            yield parts, total, info
+
+    def shape(case):
+        parts, total, info = case
         expected_voters = 2 * sum(p.election.n for p in parts) - 1
         expected_separators = sum(len(p.election.candidates) * p.election.n for p in parts)
-        if total.election.n != expected_voters or info["separators"]["s"] != expected_separators:
-            shape_failure = ("voter count or separator size off",
-                             _triple_fixtures("counterexample-sum", total))
-            break
+        if total.election.n == expected_voters and info["separators"]["s"] == expected_separators:
+            return None
+        return "voter count or separator size off", _triple_fixtures("counterexample-sum", total)
+
+    def additivity(case):
+        parts, total, _ = case
         want = sum(score_exact(p, state_cap=config.state_cap).score for p in parts)
         got = score_exact(total, state_cap=config.state_cap).score
-        if got != want:
-            additivity_failure = (
-                f"sum score {got}, expected {want}",
+        if got == want:
+            return None
+        return (f"sum score {got}, expected {want}",
                 _triple_fixtures("counterexample-input", *parts)
-                | _triple_fixtures("counterexample-sum", total),
-            )
-            break
-    return [
-        _property("sum-additivity", checked, additivity_failure),
-        _property("sum-shape", checked, shape_failure),
-    ]
+                | _triple_fixtures("counterexample-sum", total))
+
+    shaped, additive = _first_failures(
+        sums(), [("sum-shape", shape), ("sum-additivity", additivity)]
+    )
+    return [additive, shaped]
 
 
 # --- suite "6": merge laws ------------------------------------------------------
 
 
 def verify_merge_laws(config: RunConfig) -> list[PropertyCheck]:
-    plus_failure = None
-    dominance_failure = None
-    shape_failure = None
-    checked = 0
-    for t1, t2 in merge_corpus(config):
-        instance, info = build_merge(t1, t2)
-        checked += 1
-        election = instance.election
-        if election.n != 2 * max(t1.n, t2.n) + min(t1.n, t2.n) + 1 or election.n % 2:
-            shape_failure = (f"voter count {election.n}",
-                             _triple_fixtures("counterexample-input", t1, t2))
-        s1 = score_exact(t1, state_cap=config.state_cap).score
-        s2 = score_exact(t2, state_cap=config.state_cap).score
-        merged_first = score_exact(
-            DodgsonTriple(election, instance.first), state_cap=config.state_cap
-        ).score
-        merged_second = score_exact(
-            DodgsonTriple(election, instance.second), state_cap=config.state_cap
-        ).score
-        if merged_first != s1 + 1 or merged_second != s2 + 1:
-            plus_failure = (
-                f"merged scores ({merged_first}, {merged_second}), expected ({s1 + 1}, {s2 + 1})",
-                _triple_fixtures("counterexample-input", t1, t2),
-            )
-            break
-        for other in election.candidates:
+    cap = config.state_cap
+
+    def merges():
+        for t1, t2 in merge_corpus(config):
+            instance, _ = build_merge(t1, t2)
+            merged = [score_exact(DodgsonTriple(instance.election, name), state_cap=cap).score
+                      for name in (instance.first, instance.second)]
+            yield t1, t2, instance, merged
+
+    def shape(case):
+        t1, t2, instance, _ = case
+        n = instance.election.n
+        if n == 2 * max(t1.n, t2.n) + min(t1.n, t2.n) + 1 and n % 2 == 0:
+            return None
+        return f"voter count {n}", _triple_fixtures("counterexample-input", t1, t2)
+
+    def plus_one(case):
+        t1, t2, _, merged = case
+        expected = [score_exact(t, state_cap=cap).score + 1 for t in (t1, t2)]
+        if merged == expected:
+            return None
+        return (
+            f"merged scores ({merged[0]}, {merged[1]}), "
+            f"expected ({expected[0]}, {expected[1]})",
+            _triple_fixtures("counterexample-input", t1, t2),
+        )
+
+    def dominance(case):
+        t1, t2, instance, merged = case
+        for other in instance.election.candidates:
             if other in (instance.first, instance.second):
                 continue
-            rival = DodgsonTriple(election, other)
-            if score_decision(rival, merged_first, state_cap=config.state_cap):
-                dominance_failure = (f"{other!r} scores at most {merged_first}",
-                                     _triple_fixtures("counterexample-input", t1, t2))
-                break
-        if dominance_failure:
-            break
-    return [
-        _property("merge-plus-one", checked, plus_failure),
-        _property("merge-dominance", checked, dominance_failure),
-        _property("merge-shape", checked, shape_failure),
-    ]
+            if score_decision(DodgsonTriple(instance.election, other), merged[0], state_cap=cap):
+                return (f"{other!r} scores at most {merged[0]}",
+                        _triple_fixtures("counterexample-input", t1, t2))
+        return None
+
+    shaped, plus, dominant = _first_failures(merges(), [
+        ("merge-shape", shape), ("merge-plus-one", plus_one), ("merge-dominance", dominance),
+    ])
+    return [plus, dominant, shaped]
 
 
 # --- suite "wagner": parity law -------------------------------------------------
 
 
-def _sorted_combos(k: int):
-    """Member-first input lists for the combiner: yes-instances, then no."""
-    for yes_count in range(2 * k, -1, -1):
-        yield [CANONICAL_YES] * yes_count + [CANONICAL_NO] * (2 * k - yes_count)
-
-
 def verify_parity_combiner(config: RunConfig) -> list[PropertyCheck]:
-    failure = None
-    checked = 0
-    for k in (1, 2):
-        for combo in _sorted_combos(k):
-            instance = parity_combine(combo)
-            answered = two_election_ranking(
-                instance.left, instance.right, state_cap=config.state_cap
-            )
-            yes_count = sum(1 for x in combo if x == CANONICAL_YES)
-            expected = yes_count % 2 == 1
-            checked += 1
-            if answered != expected:
-                failure = (f"k={k}, {yes_count} members: got {answered}, expected {expected}", {})
-                break
-        if failure:
-            break
-    return [_property("parity-law", checked, failure)]
+    def law(case):
+        k, yes_count = case
+        # member-first input list: yes-instances, then no
+        combo = [CANONICAL_YES] * yes_count + [CANONICAL_NO] * (2 * k - yes_count)
+        instance = parity_combine(combo)
+        answered = two_election_ranking(instance.left, instance.right, state_cap=config.state_cap)
+        expected = yes_count % 2 == 1
+        if answered == expected:
+            return None
+        return f"k={k}, {yes_count} members: got {answered}, expected {expected}", {}
+
+    cases = [(k, yes_count) for k in (1, 2) for yes_count in range(2 * k, -1, -1)]
+    return _first_failures(cases, [("parity-law", law)])
 
 
 # --- suite "theorems": end-to-end reductions ------------------------------------
 
 
 def verify_end_to_end(config: RunConfig) -> list[PropertyCheck]:
-    ranking_failure = None
-    winner_failure = None
-    checked = 0
-    for t1, t2 in merge_corpus(config):
-        member = two_election_ranking(t1, t2, state_cap=config.state_cap)
-        pair = TwoERInstance(t1, t2)
-        checked += 1
+    cap = config.state_cap
+
+    def pairs():
+        for t1, t2 in merge_corpus(config):
+            yield TwoERInstance(t1, t2), two_election_ranking(t1, t2, state_cap=cap)
+
+    def ranking(case):
+        pair, member = case
         ranked = reduce_2er_to_ranking(pair)
-        if isinstance(ranked, Sentinel) or ranks_at_least(
-            ranked.election, ranked.first, ranked.second, state_cap=config.state_cap
-        ) != member:
-            ranking_failure = (f"ranking membership mismatch (expected {member})",
-                               _triple_fixtures("counterexample-input", t1, t2))
-            break
+        if not isinstance(ranked, Sentinel) and ranks_at_least(
+            ranked.election, ranked.first, ranked.second, state_cap=cap
+        ) == member:
+            return None
+        return (f"ranking membership mismatch (expected {member})",
+                _triple_fixtures("counterexample-input", pair.left, pair.right))
+
+    def winner(case):
+        pair, member = case
         won = reduce_2er_to_winner(pair)
-        if isinstance(won, Sentinel) or is_winner(won, state_cap=config.state_cap) != member:
-            winner_failure = (f"winner membership mismatch (expected {member})",
-                              _triple_fixtures("counterexample-input", t1, t2))
-            break
-    results = [
-        _property("ranking-reduction", checked, ranking_failure),
-        _property("winner-reduction", checked, winner_failure),
-    ]
-    even = DodgsonTriple(
-        Election(
-            ("a", "b"),
-            VoterProfile.from_orders(
-                [PreferenceOrder(("a", "b")), PreferenceOrder(("b", "a"))]
-            ),
-        ),
-        "a",
-    )
-    odd = DodgsonTriple(
-        Election(("z", "y"), VoterProfile(((PreferenceOrder(("z", "y")), 1),))), "z"
-    )
-    clashing = DodgsonTriple(
-        Election(("a", "b"), VoterProfile(((PreferenceOrder(("a", "b")), 1),))), "a"
-    )
+        if not isinstance(won, Sentinel) and is_winner(won, state_cap=cap) == member:
+            return None
+        return (f"winner membership mismatch (expected {member})",
+                _triple_fixtures("counterexample-input", pair.left, pair.right))
+
+    def contained(value):
+        if isinstance(reduce_2er_to_ranking(value), Sentinel) and isinstance(
+            reduce_2er_to_winner(value), Sentinel
+        ):
+            return None
+        return "a malformed input escaped the sentinel", {}
+
+    even = DodgsonTriple(parse_election("candidates: a b\n1: a<b\n1: b<a\n"), "a")
+    odd = DodgsonTriple(parse_election("candidates: z y\n1: z<y\n"), "z")
+    clashing = DodgsonTriple(parse_election("candidates: a b\n1: a<b\n"), "a")
     malformed: list[object] = ["garbage", 42, None, (even, odd), (clashing, clashing)]
-    sentinel_ok = all(
-        isinstance(reduce_2er_to_ranking(x), Sentinel)
-        and isinstance(reduce_2er_to_winner(x), Sentinel)
-        for x in malformed
-    )
-    escaped = None if sentinel_ok else ("a malformed input escaped the sentinel", {})
-    results.append(_property("sentinel-branch", len(malformed), escaped))
-    return results
+    return (_first_failures(pairs(), [("ranking-reduction", ranking), ("winner-reduction", winner)])
+            + _first_failures(malformed, [("sentinel-branch", contained)]))
 
 
 _SUITES = {

@@ -81,7 +81,8 @@ def test_criterion_3_sum_additivity():
 def test_criterion_4_merge_laws():
     problems = _suite_problems("6", trials=25)
     _report(4, "merge: both designated scores rise by exactly 1 and every other "
-               "candidate exceeds them, on 25 random pairs", problems)
+               "candidate scores above the first designated candidate, on 25 random "
+               "pairs", problems)
 
 
 def test_criterion_5_parity_law():

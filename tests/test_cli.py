@@ -209,6 +209,9 @@ def test_verify_json_stability(files, capsys):
     payload = json.loads(first)
     assert payload["passed"] is True
     assert payload["config"] == {"seed": 11, "trials": 3, "state_cap": DEFAULT_STATE_CAP}
+    assert [r["name"] for r in payload["results"]] == [
+        "score-gap-exhaustive-q2", "score-gap-random-q3",
+    ]
 
 
 @pytest.mark.parametrize("argv", [
@@ -382,12 +385,12 @@ REDUCE_GOLDEN = {
     },
     "wagner-g": {
         "text exit": 0,
-        "text stdout": "5b65933182e88dfaa6ac07bfbb359e97a630841dea630fb5f19724ca435925c6",
+        "text stdout": "e413dc6ca605f26fecd20afad87b0bea1f25eb50496d279a3be74c8aacd8c59b",
         "json exit": 0,
-        "json stdout": "272fafd21d263b946452add928d5d19970424ebe8eb7e4c3cf4c6488fdf72bea",
-        "res/out.json": "dc4f74dd7ecc21d9d74e8926b5901c48ef5692d3cc3586ae2ca9b23599de930f",
-        "res/out.v1.left.dodg": "a54ff3a58e3c49255fbfa526254cfb09329c90fa5ec6810ade5a6e3ce9f5278a",
-        "res/out.v1.right.dodg": "af84e7a8c6e300a67c3379940fa269ec5c9d2a42638ed841ae996bb467d2411c",
+        "json stdout": "9a22f6943ae47fc5bfe1f61968a82f07bb8990ff85a7ee3f68dbd67af85565dc",
+        "res/out.json": "e323118d64efa4936c762d3ac59d033d3ab83e5a7da3f48d0dd22525f17356a5",
+        "res/out.left.dodg": "a54ff3a58e3c49255fbfa526254cfb09329c90fa5ec6810ade5a6e3ce9f5278a",
+        "res/out.right.dodg": "af84e7a8c6e300a67c3379940fa269ec5c9d2a42638ed841ae996bb467d2411c",
     },
 }
 
@@ -396,3 +399,45 @@ REDUCE_GOLDEN = {
 def test_reduce_outputs_are_golden(case, tmp_path):
     arguments, out = REDUCE_CASES[case]
     assert reduce_digests(tmp_path / case, arguments, out) == REDUCE_GOLDEN[case]
+
+
+def test_sidecar_designated_names_a_candidate_of_its_file(tmp_path):
+    # top level for one-file kinds, per side for wagner-g
+    for case, (arguments, out) in sorted(REDUCE_CASES.items()):
+        reduce_digests(tmp_path / case, arguments, out)
+        prefix = tmp_path / case / out
+        sidecar = json.loads(prefix.with_suffix(".json").read_text())
+        sides = {".dodg": sidecar}
+        sides.update((f".{side}.dodg", sidecar[side])
+                     for side in ("left", "right") if side in sidecar)
+        for suffix, info in sides.items():
+            if "designated" in info:
+                election = parse_election(prefix.with_suffix(suffix).read_text())
+                assert info["designated"] in election.candidates, (case, suffix)
+
+
+def test_names_the_benchmark_imports_resolve():
+    # make_refs.py needs SciPy to import, so both files are read as source;
+    # importing dodgson.cli here makes ``from dodgson import cli`` resolve
+    import ast
+    import importlib
+    from pathlib import Path
+
+    import dodgson.cli
+
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    layers = None
+    for name in ("corpus.py", "make_refs.py"):
+        tree = ast.parse((bench / name).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("dodgson"):
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    assert hasattr(module, alias.name), f"{name}: {node.module}.{alias.name}"
+            if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "CLI_LAYERS" for t in node.targets
+            ):
+                layers = ast.literal_eval(node.value)
+    assert layers
+    for name in layers:
+        assert hasattr(dodgson.cli, name), name

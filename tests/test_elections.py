@@ -9,7 +9,6 @@ from dodgson import (
     ParseError,
     PreferenceOrder,
     VoterProfile,
-    apply_switch,
     condorcet_winner,
     deficit_vector,
     pairwise_tally,
@@ -118,56 +117,6 @@ def test_condorcet_winner_cases(cycle, unanimous):
     assert condorcet_winner(unanimous) == "c"
     assert condorcet_winner(election("a b", "a<b", "b<a")) is None  # exact tie
     assert condorcet_winner(election("solo", "solo")) == "solo"  # vacuous
-
-
-# --- switches ------------------------------------------------------------------
-
-
-def test_switch_moves_candidate_down_two_steps():
-    # two switches turn a<b<c<d into c<a<b<d
-    profile = VoterProfile(((order("a<b<c<d"), 1),))
-    profile = apply_switch(profile, 0, 1)
-    profile = apply_switch(profile, 0, 0)
-    assert profile.groups == ((order("c<a<b<d"), 1),)
-
-
-def test_switch_two_disjoint_swaps():
-    # two switches turn a<b<c<d into b<a<d<c
-    profile = VoterProfile(((order("a<b<c<d"), 1),))
-    profile = apply_switch(profile, 0, 0)
-    profile = apply_switch(profile, 0, 2)
-    assert profile.groups == ((order("b<a<d<c"), 1),)
-
-
-def test_switch_splits_only_the_addressed_voter():
-    profile = VoterProfile(((order("a<b<c"), 3),))
-    switched = apply_switch(profile, 1, 0)
-    assert switched.groups == (
-        (order("a<b<c"), 1),
-        (order("b<a<c"), 1),
-        (order("a<b<c"), 1),
-    )
-    assert profile.groups == ((order("a<b<c"), 3),)  # original untouched
-
-
-def test_switch_index_errors():
-    profile = VoterProfile(((order("a<b<c"), 2),))
-    with pytest.raises(IndexError):
-        apply_switch(profile, 2, 0)
-    with pytest.raises(IndexError):
-        apply_switch(profile, 0, 2)
-
-
-@given(
-    st.permutations(["a", "b", "c", "d"]).map(lambda p: PreferenceOrder(tuple(p))),
-    st.integers(0, 2),
-    st.integers(0, 3),
-)
-def test_switch_is_an_involution(one_order, position, extra_voters):
-    profile = VoterProfile(((one_order, 1 + extra_voters),))
-    voter = extra_voters  # last flat index
-    twice = apply_switch(apply_switch(profile, voter, position), voter, position)
-    assert list(twice.orders()) == list(profile.orders())
 
 
 # --- deficits -------------------------------------------------------------------

@@ -12,7 +12,6 @@ from dodgson import (
     dodgson_sum,
     has_matching,
     is_winner,
-    matching_to_dodgson,
     merge,
     merge_prime,
     normalize_matching,
@@ -95,12 +94,6 @@ def test_reduction_voter_count_follows_triple_count():
 
 def test_reduction_of_malformed_is_the_no_instance_image():
     assert reduce_3dm("garbage") == reduce_3dm(CANONICAL_NO)
-
-
-def test_reduction_core_rejects_small_instances():
-    tiny = MatchingInstance(("w",), ("x",), ("y",), (("w", "x", "y"),))
-    with pytest.raises(ValueError):
-        matching_to_dodgson(tiny)
 
 
 def test_q3_yes_instance_scores_nine():

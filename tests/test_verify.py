@@ -1,5 +1,6 @@
 import pytest
 
+from dodgson.gadgets import TwoERInstance
 from dodgson.verify import (
     RunConfig,
     SUITE_NAMES,
@@ -49,16 +50,70 @@ def test_merge_corpus_respects_contract():
         assert not set(t1.election.candidates) & set(t2.election.candidates)
 
 
-def test_failing_property_reports_a_counterexample(monkeypatch):
-    # force a wrong expectation to exercise the counterexample machinery
+def _wrong_separators(build_sum):
+    def broken(parts):
+        total, info = build_sum(parts)
+        return total, dict(info, separators={"s": -1})
+    return broken
+
+
+def _escaping(reduce_2er_to_winner):
+    def broken(value):
+        return reduce_2er_to_winner(value) if isinstance(value, TwoERInstance) else value
+    return broken
+
+
+def _always(value):
+    return lambda *args, **kwargs: value
+
+
+# suite, patched name, patch (given the original), failing property, its
+# fixture names, and the checks every property of the suite reports
+FORCED_FAILURES = {
+    "3": ("3", "_check_gap",
+          lambda _: lambda instance, cap: (instance.q == 3, "forced failure"),
+          "score-gap-exhaustive-q2", {"counterexample.3dm"},
+          {"score-gap-exhaustive-q2": 1, "score-gap-random-q3": 2}),
+    "4-shape": ("4", "build_sum", _wrong_separators,
+                "sum-shape", {"counterexample-sum.dodg"},
+                {"sum-additivity": 1, "sum-shape": 1}),
+    "6-dominance": ("6", "score_decision", lambda _: _always(True),
+                    "merge-dominance",
+                    {"counterexample-input-1.dodg", "counterexample-input-2.dodg"},
+                    {"merge-plus-one": 1, "merge-dominance": 1, "merge-shape": 1}),
+    "wagner": ("wagner", "two_election_ranking", lambda _: _always(None),
+               "parity-law", set(), {"parity-law": 1}),
+    "theorems-ranking": ("theorems", "ranks_at_least", lambda _: _always(None),
+                         "ranking-reduction",
+                         {"counterexample-input-1.dodg", "counterexample-input-2.dodg"},
+                         {"ranking-reduction": 1, "winner-reduction": 1, "sentinel-branch": 5}),
+    "theorems-sentinel": ("theorems", "reduce_2er_to_winner", _escaping,
+                          "sentinel-branch", set(),
+                          {"ranking-reduction": 2, "winner-reduction": 2, "sentinel-branch": 1}),
+}
+
+
+def _check_forced_failure(forced, monkeypatch):
+    # a wrong answer forced in one property: it alone fails, with its detail
+    # and fixtures, and every property of its loop stops at the same case
     import dodgson.verify as verify_module
 
-    def broken_gap(instance, state_cap):
-        return False, "forced failure"
+    suite, target, patch, failing, fixtures, checked = FORCED_FAILURES[forced]
+    monkeypatch.setattr(verify_module, target, patch(getattr(verify_module, target)))
+    results = run_suite(suite, RunConfig(seed=1, trials=2))
+    assert {c.name: c.checked for c in results} == checked
+    for check in results:
+        if check.name == failing:
+            assert not check.passed and check.detail
+            assert set(check.fixtures) == fixtures
+        else:
+            assert check.passed and not check.detail and not check.fixtures
 
-    monkeypatch.setattr(verify_module, "_check_gap", broken_gap)
-    results = run_suite("3", RunConfig(seed=1, trials=1))
-    gap = next(c for c in results if c.name == "score-gap-exhaustive-q2")
-    assert not gap.passed
-    assert gap.fixtures
-    assert any(name.endswith(".3dm") for name in gap.fixtures)
+
+def test_failing_property_reports_a_counterexample(monkeypatch):
+    _check_forced_failure("3", monkeypatch)
+
+
+@pytest.mark.parametrize("forced", sorted(set(FORCED_FAILURES) - {"3"}))
+def test_forced_failure_in_every_suite(forced, monkeypatch):
+    _check_forced_failure(forced, monkeypatch)
