@@ -146,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name not in ("oracle", "reduce"):
             p.add_argument(
                 "--state-cap", type=int, default=DEFAULT_STATE_CAP,
-                help="cap on the search states remembered as too costly",
+                help="cap on the search states and exact-fit answers remembered",
             )
     return parser
 

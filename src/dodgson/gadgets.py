@@ -40,6 +40,11 @@ __all__ = [
 ]
 
 
+def _require_odd(triple: DodgsonTriple, what: str) -> None:
+    if triple.election.n % 2 == 0:
+        raise ValueError(f"{what} must have an odd number of voters, got {triple.election.n}")
+
+
 @dataclass(frozen=True)
 class ReducedInstance:
     """A score-decision instance: triple plus the threshold its score is
@@ -49,8 +54,7 @@ class ReducedInstance:
     threshold: int
 
     def __post_init__(self):
-        if self.triple.election.n % 2 == 0:
-            raise ValueError("reduced instances must have an odd number of voters")
+        _require_odd(self.triple, "a reduced instance")
         if self.threshold < 0:
             raise ValueError("threshold must be non-negative")
 
@@ -64,9 +68,8 @@ class TwoERInstance:
     right: DodgsonTriple
 
     def __post_init__(self):
-        for triple, side in ((self.left, "left"), (self.right, "right")):
-            if triple.election.n % 2 == 0:
-                raise ValueError(f"{side} election must have an odd number of voters")
+        _require_odd(self.left, "left election")
+        _require_odd(self.right, "right election")
         if self.left.designated == self.right.designated:
             raise ValueError("designated candidates must differ")
 
@@ -99,11 +102,6 @@ class Sentinel:
 
 
 SENTINEL = Sentinel()
-
-
-def _require_odd(triple: DodgsonTriple, what: str) -> None:
-    if triple.election.n % 2 == 0:
-        raise ValueError(f"{what} must have an odd number of voters, got {triple.election.n}")
 
 
 def _fresh(base: str, used: set[str]) -> str:

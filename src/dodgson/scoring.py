@@ -12,7 +12,10 @@ Two independent routes to the same quantity:
   bounds and a failure memo.  :func:`score_decision` and the decisions built
   on it run it once at their budget; :func:`score_exact` runs it at rising
   budgets from the root bound, and the first budget that admits a cover is
-  the score and gives the witness.
+  the score and gives the witness.  Where the budget left equals the residual
+  deficit sum, only covers that pass each opponent exactly its residual with
+  no wasted switch remain; one exact-fit check decides whether such a cover
+  exists and closes the frames that hold none.
 * :func:`score_oracle` — breadth-first search over whole profiles using the
   literal one-adjacent-exchange-anywhere edge relation.  This is the ground
   truth the raise-only model is validated against, at small scale.
@@ -120,6 +123,15 @@ class _CoverSearch:
     strictly cheaper cover exists, which never happens at the score.  The
     tables and the failure memo depend only on the problem, so every budget
     tried on it shares them.
+
+    A frame whose budget left equals its residual sum has zero slack: every
+    cover below it is free of waste and passes each opponent exactly its
+    residual, an exact multicover.  Once a child of such a frame fails and
+    options are left, :meth:`exact_fit` decides once per (layer, copies,
+    residual) whether that cover exists; if not, the frame closes with least
+    bound left + 1, which the memo records.  Only frames with no cover within budget close and the
+    options keep their order, so scores and witnesses are those of the plain
+    search; a search that meets its cover without backtracking never checks.
     """
 
     def __init__(self, problem: _CoverProblem, state_cap: int):
@@ -156,6 +168,12 @@ class _CoverSearch:
                     cum.append(cum[-1] + grp.mult)
         self.entry.append((len(self.layers), 0))
         self.passes = [sorted(levels.items()) for levels in passes]
+        # exact_fit's answers, keyed as `failed`, and its variables per layer,
+        # built when first needed; waste_free[g]: the opponents group g
+        # passes from level 0 at one switch each.
+        self.fits: dict[tuple[int, int, tuple[int, ...]], bool] = {}
+        self.layouts: dict[int, tuple[list[int], list[int], list[bool], list[list[int]]]] = {}
+        self.waste_free = [self.run_from(g, 1) for g in range(len(groups))]
 
     def lower(self, layer: int, avail: int, state: tuple[int, ...], left: float = inf) -> float:
         """Admissible lower bound on covering ``state`` from ``layer`` on,
@@ -239,6 +257,120 @@ class _CoverSearch:
             coords[i - 1]: (costs[i] - costs[j - 1], costs[i] - costs[j - 1] == i - j + 1)
             for i in range(j, len(costs))
         }
+
+    def run_from(self, g: int, j: int) -> tuple[int, ...]:
+        """Opponents group ``g`` passes from level ``j`` up, one switch each."""
+        costs, coords = self.problem.groups[g].costs, self.problem.groups[g].coords
+        k = j
+        while k < len(costs) and costs[k] - costs[k - 1] == 1:
+            k += 1
+        return coords[j - 1:k - 1]
+
+    def exact_fit(self, layer: int, avail: int, state: tuple[int, ...]) -> bool:
+        """Can the copies from ``layer`` on pass each opponent x exactly
+        ``state[x]`` times at one switch per pass?
+
+        A variable counts the copies of a run that reach one of its waste-free
+        levels; the runs are this layer's ``avail`` copies from the level below
+        it and each later group from level 0.  Counts do not increase along a
+        run and each opponent's sum to its residual.  Bounds propagate to a
+        fixpoint, then one count of the opponent with the fewest free counts
+        is split in two, as Algorithm X branches on its most constrained column.
+        """
+        key = (layer, avail, state)
+        fit = self.fits.get(key)
+        if fit is not None:
+            return fit
+        # counts in run order: each one's opponent, a run's copies at its
+        # first count (0 for ``avail``) else -1, where runs start (with an end
+        # marker), and each opponent's counts
+        layout = self.layouts.get(layer)
+        if layout is None:
+            g, j = self.layers[layer]
+            runs = [(0, self.run_from(g, j))] + [
+                (self.problem.groups[h].mult, xs)
+                for h, xs in enumerate(self.waste_free) if h > g and xs
+            ]
+            opp = [x for _, xs in runs for x in xs]
+            caps = [cap if i == 0 else -1 for cap, xs in runs for i in range(len(xs))]
+            of = [[] for _ in state]
+            for v, x in enumerate(opp):
+                of[x].append(v)
+            layout = self.layouts[layer] = (opp, caps, [cap >= 0 for cap in caps] + [True], of)
+        opp, caps, head, of = layout
+        # a run's first count is at most its copies, the others at most the
+        # count before; a satisfied opponent cuts the run with a 0 bound
+        hi, shi = [], [0] * len(state)
+        top = 0
+        for cap, x in zip(caps, opp):
+            if cap >= 0:
+                top = cap or avail
+            if state[x] < top:
+                top = state[x]
+            hi.append(top)
+            shi[x] += top
+
+        def tighten(node, v, low, high, dirty):
+            """Narrow count v to [low, high], walking the change along its run."""
+            lo, hi, slo, shi = node
+            u = v
+            while hi[u] > high:
+                if lo[u] > high:
+                    return False
+                x = opp[u]
+                shi[x] += high - hi[u]
+                hi[u] = high
+                dirty.add(x)
+                u += 1
+                if head[u]:
+                    break
+            u = v
+            while lo[u] < low:
+                if hi[u] < low:
+                    return False
+                x = opp[u]
+                slo[x] += low - lo[u]
+                lo[u] = low
+                dirty.add(x)
+                if head[u]:
+                    break
+                u -= 1
+            return True
+
+        def settle(node, dirty):
+            lo, hi, slo, shi = node
+            while dirty:
+                x = dirty.pop()
+                need, low, high = state[x], slo[x], shi[x]
+                if not low <= need <= high:
+                    return False
+                for v in of[x]:
+                    a, b = need - high + hi[v], need - low + lo[v]
+                    if (a > lo[v] or b < hi[v]) and not tighten(node, v, a, b, dirty):
+                        return False
+            return True
+
+        todo = [([0] * len(opp), hi, [0] * len(state), shi, set(range(len(state))))]
+        fit = False
+        while todo:
+            *node, dirty = todo.pop()
+            if not settle(node, dirty):
+                continue
+            lo, hi = node[0], node[1]
+            free = min((f for vs in of if (f := [v for v in vs if lo[v] < hi[v]])),
+                       key=len, default=None)
+            if free is None:
+                fit = True
+                break
+            v = free[-1]
+            mid = (lo[v] + hi[v]) // 2
+            for half, low, high in (([p[:] for p in node], mid + 1, hi[v]), (node, lo[v], mid)):
+                dirty = set()
+                if tighten(half, v, low, high, dirty):
+                    todo.append((*half, dirty))
+        if len(self.fits) < self.state_cap:
+            self.fits[key] = fit
+        return fit
 
     def frame(self, layer: int, avail: int, state: tuple[int, ...], rsum: int, left: int) -> list:
         """A new frame: [layer, copies available, residual, its sum, budget
@@ -334,6 +466,10 @@ class _CoverSearch:
             if stack:
                 parent = stack[-1]
                 parent[7] = min(parent[7], parent[8] + best)
+                zero_slack, options_left = parent[3] == parent[4], parent[5] <= parent[6]
+                if zero_slack and options_left and not self.exact_fit(*parent[:3]):
+                    # no exact cover, so nothing within budget
+                    parent[5], parent[7] = parent[6] + 1, parent[4] + 1
         return None
 
     def allocation(self, stack: list[list]) -> dict[int, list[int]]:

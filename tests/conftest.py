@@ -34,6 +34,10 @@ def time_limit(seconds: float):
     signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
         yield
+    except TimeLimitExceeded as exc:
+        # drop the interrupted frames: CPython 3.11 can leave one without a
+        # line number, and pytest then aborts the session formatting it
+        raise TimeLimitExceeded(str(exc)) from None
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)

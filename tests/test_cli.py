@@ -95,6 +95,15 @@ def test_2er_command(files):
     assert main(["2er", files["even.dodg"] + ":a", files["t1.dodg"] + ":1"]) == 2
 
 
+def test_merge_and_2er_share_the_odd_voter_message(files, tmp_path, capsys):
+    # one check words the rule for every construction that needs odd voters
+    even, odd = files["even.dodg"] + ":a", files["t1.dodg"] + ":1"
+    for argv in (["reduce", "merge", even, odd, "-o", str(tmp_path / "m")], ["2er", even, odd]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.endswith("must have an odd number of voters, got 2"), err
+
+
 def test_oracle_command(files, capsys):
     assert main(["oracle", files["cycle.dodg"], "-c", "c"]) == 0
     assert capsys.readouterr().out == "score: 1\n"

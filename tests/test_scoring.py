@@ -16,13 +16,17 @@ from dodgson import (
     dodgson_winners,
     is_winner,
     merge,
+    parse_matching,
     ranks_at_least,
+    reduce_3dm,
     score_decision,
     score_exact,
     score_oracle,
     two_election_ranking,
     unit_chain,
 )
+
+from dodgson.scoring import _CoverSearch, _cover_problem
 
 from conftest import election, time_limit
 
@@ -334,3 +338,111 @@ def test_hundred_thousand_voters_score_within_time():
         assert score_decision(t, 30438) is True
         assert score_decision(t, 30437) is False
         assert not is_winner(t)
+
+
+# --- the 3DM specials: root bound = deficit sum = score --------------------------
+
+# gadget-pool matchings over W = {w1, w2, w3}, X = {x1, x2, x3}, Y = {y1, y2, y3}
+_MATCHINGS = {
+    "3dm-1": "w1 x1 y1 / w1 x2 y3 / w1 x3 y1 / w2 x1 y1 / w2 x1 y3 / w2 x3 y1 / w2 x3 y3 / "
+             "w3 x1 y2 / w3 x1 y3 / w3 x2 y1 / w3 x3 y3",
+    "3dm-8": "w1 x1 y2 / w1 x2 y1 / w1 x2 y2 / w1 x3 y2 / w2 x1 y2 / w2 x1 y3 / w2 x3 y1 / "
+             "w3 x1 y3 / w3 x2 y1 / w3 x2 y3 / w3 x3 y2 / w3 x3 y3",
+    "3dm-10": "w1 x2 y3 / w1 x3 y1 / w1 x3 y2 / w1 x3 y3 / w2 x1 y3 / w3 x1 y1 / w3 x1 y3 / "
+              "w3 x2 y2 / w3 x3 y1 / w3 x3 y2",
+    "3dm-11": "w1 x1 y1 / w1 x1 y3 / w1 x2 y1 / w1 x2 y2 / w1 x3 y1 / w2 x2 y1 / w2 x3 y3 / "
+              "w3 x2 y3 / w3 x3 y3",
+}
+
+
+@pytest.mark.parametrize("item, name, score", [
+    ("3dm-1", "s", 96), ("3dm-1", "t", 86), ("3dm-8", "s", 102),
+    ("3dm-10", "s", 85), ("3dm-10", "t", 80), ("3dm-11", "s", 79),
+])
+def test_3dm_specials_score_within_time(item, name, score):
+    # Every cover at the score passes each opponent exactly its deficit with
+    # no wasted switch, and the lexicographic search meets such a cover late
+    # (3dm-8 s took 157 s before the zero-slack check).  References from the
+    # Bartholdi-Tovey-Trick integer program.
+    text = "W: w1 w2 w3\nX: x1 x2 x3\nY: y1 y2 y3\n" + _MATCHINGS[item].replace(" / ", "\n")
+    t = DodgsonTriple(reduce_3dm(parse_matching(text)).triple.election, name)
+    assert sum(deficit_vector(t).values()) == score
+    with time_limit(10):
+        result = score_exact(t)
+    assert result.score == score == sum(result.witness)
+    assert condorcet_winner(apply_raises(t, result.witness)) == name
+    if (item, name) == ("3dm-8", "s"):
+        assert result.witness == (0, 6, 0, 6, 0, 6, 0, 6, 0, 6, 0, 6, 0, 0, 0, 0, 0,
+                                  11, 11, 11, 11, 11, 11)
+
+
+def _exact_fit_by_brute_force(search, layer, avail, state) -> bool:
+    """Does some waste-free allocation of the remaining copies pass every
+    opponent x exactly state[x] times?  Each copy stops at any level it
+    reaches at one switch per level."""
+    groups = search.problem.groups
+    g, j = search.layers[layer]
+    runs = [(groups[g], j - 1, avail)] + [(grp, 0, grp.mult) for grp in groups[g + 1:]]
+    picks = []
+    for grp, base, copies in runs:
+        top = base
+        while top + 1 < len(grp.costs) and grp.costs[top + 1] - grp.costs[base] == top + 1 - base:
+            top += 1
+        picks.append(itertools.combinations_with_replacement(range(base, top + 1), copies))
+    for pick in itertools.product(*picks):
+        passes = [0] * len(state)
+        for (grp, base, _), tops in zip(runs, pick):
+            for top in tops:
+                for x in grp.coords[base:top]:
+                    passes[x] += 1
+        if tuple(passes) == state:
+            return True
+    return False
+
+
+def _states_after_two_layers(search):
+    """The root, then every (layer, copies, residual) reached by fixing the
+    count of the first one or two layers."""
+    layers, groups = search.layers, search.problem.groups
+    frontier = [(*search.entry[0], search.problem.start)]
+    states = list(frontier)
+    for _ in range(2):
+        reached = []
+        for layer, avail, state in frontier:
+            g, j = layers[layer]
+            coords = groups[g].coords
+            x = coords[j - 1]
+            for count in range(avail + 1):
+                nstate = state[:x] + (state[x] - min(count, state[x]),) + state[x + 1:]
+                going_on = count and j < len(coords)
+                nlayer, navail = (layer + 1, count) if going_on else search.entry[g + 1]
+                if nlayer < len(layers) and any(nstate):
+                    reached.append((nlayer, navail, nstate))
+        states += reached
+        frontier = reached
+    return states
+
+
+def test_exact_fit_matches_brute_force():
+    # Seeded grouped profiles with 3-5 candidates and 6 voters in runs of
+    # 1-3 copies, at the root and at interior states.
+    seen = {True: 0, False: 0}
+    for i in range(60):
+        rng = random.Random(f"exact-fit:{i}")
+        names = tuple("abcde"[: rng.randint(3, 5)])
+        mults = []
+        while sum(mults) < 6:
+            mults.append(rng.randint(1, min(3, 6 - sum(mults))))
+        groups = tuple((PreferenceOrder(tuple(rng.sample(names, len(names)))), m) for m in mults)
+        e = Election(names, VoterProfile(groups))
+        for name in names:
+            problem = _cover_problem(triple(e, name))
+            if not problem.coords:
+                continue
+            search = _CoverSearch(problem, 10)
+            for layer, avail, state in _states_after_two_layers(search):
+                want = _exact_fit_by_brute_force(search, layer, avail, state)
+                assert search.exact_fit(layer, avail, state) == want, (i, name, layer, state)
+                seen[want] += 1
+            assert len(search.fits) <= 10  # the cache obeys the state cap
+    assert min(seen.values()) >= 300, seen
