@@ -146,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name not in ("oracle", "reduce"):
             p.add_argument(
                 "--state-cap", type=int, default=DEFAULT_STATE_CAP,
-                help="cap on the search states and exact-fit answers remembered",
+                help="cap on the memo of search states proven too costly",
             )
     return parser
 
@@ -154,8 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_score(args) -> int:
     triple = _load_designated(args.file, args.candidate)
     if args.at_most is not None:
-        if args.at_most < 0:
-            raise _Input("--at-most must be non-negative")
         verdict = score_decision(triple, args.at_most, state_cap=args.state_cap)
         return _decide({"command": "score", "candidate": args.candidate,
                         "at_most": args.at_most, "decision": verdict}, verdict, args.json)

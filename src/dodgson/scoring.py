@@ -127,11 +127,12 @@ class _CoverSearch:
     A frame whose budget left equals its residual sum has zero slack: every
     cover below it is free of waste and passes each opponent exactly its
     residual, an exact multicover.  Once a child of such a frame fails and
-    options are left, :meth:`exact_fit` decides once per (layer, copies,
-    residual) whether that cover exists; if not, the frame closes with least
-    bound left + 1, which the memo records.  Only frames with no cover within budget close and the
-    options keep their order, so scores and witnesses are those of the plain
-    search; a search that meets its cover without backtracking never checks.
+    options are left, :meth:`exact_fit` decides once per frame whether that
+    cover exists: if so, the frame notes it; if not, it closes with least
+    bound left + 1, which the memo records.  Only frames with no cover within
+    budget close and the options keep their order, so scores and witnesses
+    are those of the plain search; a search that meets its cover without
+    backtracking never checks.
     """
 
     def __init__(self, problem: _CoverProblem, state_cap: int):
@@ -139,21 +140,21 @@ class _CoverSearch:
         self.state_cap = state_cap
         groups = problem.groups
         # (layer, copies available, residual) -> largest budget proven too
-        # small from there.
+        # small from there; the only record ``state_cap`` caps.
         self.failed: dict[tuple[int, int, tuple[int, ...]], float] = {}
-        # own[L]: for a layer inside its group, opponent x -> (cost of
-        # passing it above the level below L, whether that raise is free of
-        # waste); built when first needed.
-        self.own: dict[int, dict[int, tuple[int, bool]]] = {}
+        # own[L][x]: (cost of passing opponent x above the level below layer
+        # L, whether that raise is free of waste), or None; built when first needed.
+        self.own: dict[int, list[tuple[int, bool] | None]] = {}
         # layers[L] = (group, level); entry[g] = (first layer, copies) of
         # group g, and entry[-1] = (end, 0).
         self.layers: list[tuple[int, int]] = []
         self.entry: list[tuple[int, int]] = []
+        # waste_free[g]: the opponents group g passes from level 0, one switch each
+        self.waste_free = [self.run_from(g, 1) for g in range(len(groups))]
         # A bucket holds ascending groups and the prefix sums of their
         # multiplicities.  passes[x]: (cost, bucket of the groups passing
         # opponent x at that cost), ascending by cost; free[x]: bucket of the
-        # groups passing x without waste, that is at a cost equal to the
-        # opponents passed.
+        # groups passing x without waste.
         passes: list[dict[int, tuple[list[int], list[int]]]] = [{} for _ in problem.coords]
         self.free = [([], [0]) for _ in problem.coords]
         for g, grp in enumerate(groups):
@@ -161,23 +162,19 @@ class _CoverSearch:
             for k, x in enumerate(grp.coords, start=1):
                 self.layers.append((g, k))
                 buckets = [passes[x].setdefault(grp.costs[k], ([], [0]))]
-                if grp.costs[k] == k:
+                if k <= len(self.waste_free[g]):
                     buckets.append(self.free[x])
                 for where, cum in buckets:
                     where.append(g)
                     cum.append(cum[-1] + grp.mult)
         self.entry.append((len(self.layers), 0))
         self.passes = [sorted(levels.items()) for levels in passes]
-        # exact_fit's answers, keyed as `failed`, and its variables per layer,
-        # built when first needed; waste_free[g]: the opponents group g
-        # passes from level 0 at one switch each.
-        self.fits: dict[tuple[int, int, tuple[int, ...]], bool] = {}
+        # exact_fit's variables per layer, built when first needed.
         self.layouts: dict[int, tuple[list[int], list[int], list[bool], list[list[int]]]] = {}
-        self.waste_free = [self.run_from(g, 1) for g in range(len(groups))]
 
     def lower(self, layer: int, avail: int, state: tuple[int, ...], left: float = inf) -> float:
-        """Admissible lower bound on covering ``state`` from ``layer`` on,
-        with ``avail`` copies of its group at the level below it.
+        """Admissible lower bound on covering ``state`` from ``layer`` on:
+        ``avail`` copies of its group priced by :meth:`own_table`, later groups' by the buckets.
 
         The memo's proven bound, else the largest of:
 
@@ -207,41 +204,39 @@ class _CoverSearch:
         rsum = sum(state)
         best = rsum
         slack = left - rsum
-        if j == 1:
-            # whole groups from g on
-            cut, own = bisect_left, None
-        else:
-            cut, own = bisect_right, self.own.get(layer)
-            if own is None:
-                own = self.own[layer] = self.own_table(g, j)
+        own = self.own.get(layer)
+        if own is None:
+            own = self.own[layer] = self.own_table(g, j)
         for x, need in enumerate(state):
             if best > left:
                 break
             if not need:
                 continue
-            mine = own and own.get(x)
+            mine = own[x]
             if need > slack:
+                # efficient supply; without it the crowd pool took 23 s, not 1 s
                 where, cum = self.free[x]
-                free = cum[-1] - cum[cut(where, g)] + (avail if mine and mine[1] else 0)
+                free = cum[-1] - cum[bisect_right(where, g)] + (avail if mine and mine[1] else 0)
                 if rsum + need - free > best:
                     best = rsum + need - free
             total = 0
             for cost, (where, cum) in self.passes[x]:
                 if mine and mine[0] <= cost:
-                    # the group's own copies, at the level below this layer
-                    take = min(need, avail)
-                    total += take * mine[0]
-                    need -= take
-                    mine = None
-                    if not need:
+                    # the group's own copies, at the level below this layer; with
+                    # min() here and a dict for `own`, `lower` ran 25% slower on gadgets
+                    if need <= avail:
+                        total += need * mine[0]
                         break
-                take = min(need, cum[-1] - cum[cut(where, g)])
+                    total += avail * mine[0]
+                    need -= avail
+                    mine = None
+                take = min(need, cum[-1] - cum[bisect_right(where, g)])
                 total += take * cost
                 need -= take
                 if not need:
                     break
-            if need:
-                return inf
+            else:
+                return inf  # fewer than r_x copies can pass x
             if total > best:
                 best = total
         return best
@@ -250,13 +245,14 @@ class _CoverSearch:
         """Copies in the groups after ``g`` that can pass opponent ``x``."""
         return sum(cum[-1] - cum[bisect_right(where, g)] for _, (where, cum) in self.passes[x])
 
-    def own_table(self, g: int, j: int) -> dict[int, tuple[int, bool]]:
+    def own_table(self, g: int, j: int) -> list[tuple[int, bool] | None]:
         """``own[L]`` for layer (g, j)."""
         costs, coords = self.problem.groups[g].costs, self.problem.groups[g].coords
-        return {
-            coords[i - 1]: (costs[i] - costs[j - 1], costs[i] - costs[j - 1] == i - j + 1)
-            for i in range(j, len(costs))
-        }
+        run = len(self.run_from(g, j))
+        own: list[tuple[int, bool] | None] = [None] * len(self.problem.coords)
+        for i in range(j, len(costs)):
+            own[coords[i - 1]] = (costs[i] - costs[j - 1], i - j < run)
+        return own
 
     def run_from(self, g: int, j: int) -> tuple[int, ...]:
         """Opponents group ``g`` passes from level ``j`` up, one switch each."""
@@ -268,7 +264,7 @@ class _CoverSearch:
 
     def exact_fit(self, layer: int, avail: int, state: tuple[int, ...]) -> bool:
         """Can the copies from ``layer`` on pass each opponent x exactly
-        ``state[x]`` times at one switch per pass?
+        ``state[x]`` times at one switch per pass?  Not cached: the frame keeps it.
 
         A variable counts the copies of a run that reach one of its waste-free
         levels; the runs are this layer's ``avail`` copies from the level below
@@ -277,10 +273,6 @@ class _CoverSearch:
         fixpoint, then one count of the opponent with the fewest free counts
         is split in two, as Algorithm X branches on its most constrained column.
         """
-        key = (layer, avail, state)
-        fit = self.fits.get(key)
-        if fit is not None:
-            return fit
         # counts in run order: each one's opponent, a run's copies at its
         # first count (0 for ``avail``) else -1, where runs start (with an end
         # marker), and each opponent's counts
@@ -325,6 +317,7 @@ class _CoverSearch:
                 if head[u]:
                     break
             u = v
+            # the backward walk; without it the gadget pool took 46 s, not 29 s
             while lo[u] < low:
                 if hi[u] < low:
                     return False
@@ -351,7 +344,6 @@ class _CoverSearch:
             return True
 
         todo = [([0] * len(opp), hi, [0] * len(state), shi, set(range(len(state))))]
-        fit = False
         while todo:
             *node, dirty = todo.pop()
             if not settle(node, dirty):
@@ -360,22 +352,20 @@ class _CoverSearch:
             free = min((f for vs in of if (f := [v for v in vs if lo[v] < hi[v]])),
                        key=len, default=None)
             if free is None:
-                fit = True
-                break
+                return True
             v = free[-1]
             mid = (lo[v] + hi[v]) // 2
             for half, low, high in (([p[:] for p in node], mid + 1, hi[v]), (node, lo[v], mid)):
                 dirty = set()
                 if tighten(half, v, low, high, dirty):
                     todo.append((*half, dirty))
-        if len(self.fits) < self.state_cap:
-            self.fits[key] = fit
-        return fit
+        return False
 
     def frame(self, layer: int, avail: int, state: tuple[int, ...], rsum: int, left: int) -> list:
         """A new frame: [layer, copies available, residual, its sum, budget
         left, next option, last option, least lower bound over the options
-        tried so far, cost of the option being tried].
+        tried so far, cost of the option being tried, whether an exact cover
+        is known to exist below it].
 
         With one copy left an option is that copy's final level, from j-1
         up.  Otherwise it is the count going on to level j: at least what the
@@ -387,11 +377,13 @@ class _CoverSearch:
         g, j = self.layers[layer]
         grp = self.problem.groups[g]
         if avail == 1:
-            return [layer, 1, state, rsum, left, j - 1, len(grp.coords), inf, 0]
+            # without single-copy frames the gadget pool took 57 s, not 29 s
+            return [layer, 1, state, rsum, left, j - 1, len(grp.coords), inf, 0, False]
         tail = grp.coords[j - 1:]
+        # without this lower count the crowd pool took 2.7 s, not 1 s
         lo = max(0, max(state[x] - self.supply_after(g, x) for x in tail))
         hi = min(avail, max(state[x] for x in tail))
-        return [layer, avail, state, rsum, left, lo, hi, inf, 0]
+        return [layer, avail, state, rsum, left, lo, hi, inf, 0, False]
 
     def cover(self, budget: int) -> dict[int, list[int]] | None:
         """First cover of cost <= ``budget`` as {group: copies reaching each
@@ -407,7 +399,7 @@ class _CoverSearch:
         stack = [self.frame(layer, avail, start, sum(start), budget)]
         while stack:
             frame = stack[-1]
-            layer, avail, state, rsum, left, k, hi, best, _ = frame
+            layer, avail, state, rsum, left, k, hi, best, _, _ = frame
             g, j = layers[layer]
             _, _, costs, coords = groups[g]
             paid = costs[j - 1]
@@ -467,9 +459,12 @@ class _CoverSearch:
                 parent = stack[-1]
                 parent[7] = min(parent[7], parent[8] + best)
                 zero_slack, options_left = parent[3] == parent[4], parent[5] <= parent[6]
-                if zero_slack and options_left and not self.exact_fit(*parent[:3]):
-                    # no exact cover, so nothing within budget
-                    parent[5], parent[7] = parent[6] + 1, parent[4] + 1
+                # checked here, not as a bound in `lower`: that gave 20 crowd timeouts
+                if zero_slack and options_left and not parent[9]:
+                    parent[9] = self.exact_fit(*parent[:3])
+                    if not parent[9]:
+                        # no exact cover, so nothing within budget
+                        parent[5], parent[7] = parent[6] + 1, parent[4] + 1
         return None
 
     def allocation(self, stack: list[list]) -> dict[int, list[int]]:
@@ -512,26 +507,16 @@ def score_exact(triple: DodgsonTriple, *, state_cap: int = DEFAULT_STATE_CAP) ->
     return ScoreResult(budget, tuple(raises))
 
 
-def _score_at_most(triple: DodgsonTriple, budget: int, state_cap: int) -> bool:
-    """Budget-limited search; never explores allocations costing more than
-    ``budget``.  Negative budgets are trivially false."""
-    if budget < 0:
-        return False
-    problem = _cover_problem(triple)
-    if not problem.coords:
-        return True
-    if sum(problem.start) > budget:
-        return False
-    return _CoverSearch(problem, state_cap).cover(budget) is not None
-
-
 def score_decision(
     triple: DodgsonTriple, budget: int, *, state_cap: int = DEFAULT_STATE_CAP
 ) -> bool:
     """Is the Dodgson score at most ``budget``?"""
     if budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
-    return _score_at_most(triple, budget, state_cap)
+    problem = _cover_problem(triple)
+    if sum(problem.start) > budget:
+        return False
+    return not problem.coords or _CoverSearch(problem, state_cap).cover(budget) is not None
 
 
 def score_oracle(triple: DodgsonTriple, cap: int = DEFAULT_ORACLE_CAP) -> int | None:
@@ -655,7 +640,7 @@ def _some_rival_below(
     which keeps this usable on large gadget-built elections; the first rival
     found below ends the check."""
     own = score_exact(triple, state_cap=state_cap).score
-    return any(_score_at_most(rival, own - 1, state_cap) for rival in rivals)
+    return own > 0 and any(score_decision(rival, own - 1, state_cap=state_cap) for rival in rivals)
 
 
 def is_winner(triple: DodgsonTriple, *, state_cap: int = DEFAULT_STATE_CAP) -> bool:

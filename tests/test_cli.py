@@ -42,6 +42,11 @@ def test_score_at_most_false_exits_one(files, capsys):
     assert main(["score", files["cycle.dodg"], "-c", "c", "--at-most", "1"]) == 0
 
 
+def test_score_negative_budget_exits_two(files, capsys):
+    assert main(["score", files["cycle.dodg"], "-c", "c", "--at-most", "-1"]) == 2
+    assert "non-negative" in capsys.readouterr().err
+
+
 def test_score_at_most_on_many_voters(tmp_path, capsys):
     # 3,001 voters: one search layer per voter
     path = tmp_path / "two.dodg"

@@ -355,17 +355,24 @@ _MATCHINGS = {
 }
 
 
-@pytest.mark.parametrize("item, name, score", [
+_SPECIALS = [
     ("3dm-1", "s", 96), ("3dm-1", "t", 86), ("3dm-8", "s", 102),
     ("3dm-10", "s", 85), ("3dm-10", "t", 80), ("3dm-11", "s", 79),
-])
+]
+
+
+def _special(item: str, name: str) -> DodgsonTriple:
+    text = "W: w1 w2 w3\nX: x1 x2 x3\nY: y1 y2 y3\n" + _MATCHINGS[item].replace(" / ", "\n")
+    return DodgsonTriple(reduce_3dm(parse_matching(text)).triple.election, name)
+
+
+@pytest.mark.parametrize("item, name, score", _SPECIALS)
 def test_3dm_specials_score_within_time(item, name, score):
     # Every cover at the score passes each opponent exactly its deficit with
     # no wasted switch, and the lexicographic search meets such a cover late
     # (3dm-8 s took 157 s before the zero-slack check).  References from the
     # Bartholdi-Tovey-Trick integer program.
-    text = "W: w1 w2 w3\nX: x1 x2 x3\nY: y1 y2 y3\n" + _MATCHINGS[item].replace(" / ", "\n")
-    t = DodgsonTriple(reduce_3dm(parse_matching(text)).triple.election, name)
+    t = _special(item, name)
     assert sum(deficit_vector(t).values()) == score
     with time_limit(10):
         result = score_exact(t)
@@ -374,6 +381,25 @@ def test_3dm_specials_score_within_time(item, name, score):
     if (item, name) == ("3dm-8", "s"):
         assert result.witness == (0, 6, 0, 6, 0, 6, 0, 6, 0, 6, 0, 6, 0, 0, 0, 0, 0,
                                   11, 11, 11, 11, 11, 11)
+    # with the memo holding one state the exact-fit check still closes frames
+    with time_limit(10):
+        assert score_exact(t, state_cap=1) == result
+
+
+@pytest.mark.parametrize("item, name", [(item, name) for item, name, _ in _SPECIALS])
+def test_exact_fit_runs_once_per_key(monkeypatch, item, name):
+    # A frame keeps its check's answer and the memo records a refuted key,
+    # so no (search, layer, copies, residual) is checked twice.
+    calls = []
+    check = _CoverSearch.exact_fit
+
+    def counted(search, layer, avail, state):
+        calls.append((id(search), layer, avail, state))
+        return check(search, layer, avail, state)
+
+    monkeypatch.setattr(_CoverSearch, "exact_fit", counted)
+    score_exact(_special(item, name))
+    assert calls and len(calls) == len(set(calls))
 
 
 def _exact_fit_by_brute_force(search, layer, avail, state) -> bool:
@@ -444,5 +470,4 @@ def test_exact_fit_matches_brute_force():
                 want = _exact_fit_by_brute_force(search, layer, avail, state)
                 assert search.exact_fit(layer, avail, state) == want, (i, name, layer, state)
                 seen[want] += 1
-            assert len(search.fits) <= 10  # the cache obeys the state cap
     assert min(seen.values()) >= 300, seen
