@@ -24,7 +24,7 @@ from .gadgets import (
     build_parity_combiner,
     build_reduction,
     build_sum,
-    merge_prime,
+    merge_prime,  # bench/corpus.py's CLI_LAYERS reads it here until the benchmark refresh
 )
 from .matching import parse_matching
 from .scoring import (
@@ -252,16 +252,14 @@ def _reduce_merge(kind: str, inputs: list[str]):
     """merge, merge-prime, and the totalized 2er-to-ranking/2er-to-winner."""
     if len(inputs) != 2:
         raise _Input(f"reduce {kind} takes exactly two file:candidate inputs")
-    if kind.startswith("merge"):
-        t1, t2 = map(_load_triple, inputs)
-    else:
-        try:
-            pair = TwoERInstance(*map(_load_triple, inputs))
-        except ValueError:  # _Input too: invalid pairs map to the sentinel
-            return ({}, {"kind": kind, "sentinel": True}, {"sentinel": True},
-                    "sentinel (input is not a valid two-election instance)")
-        t1, t2 = pair.left, pair.right
-    instance, info = build_merge(t1, t2)
+    try:
+        pair = TwoERInstance(*map(_load_triple, inputs))
+    except ValueError:  # _Input too: the 2er kinds map invalid pairs to the sentinel
+        if kind.startswith("merge"):
+            raise
+        return ({}, {"kind": kind, "sentinel": True}, {"sentinel": True},
+                "sentinel (input is not a valid two-election instance)")
+    instance, info = build_merge(pair.left, pair.right)
     election = instance.election
     summary = _size(election)
     if kind in ("merge", "2er-to-ranking"):
@@ -270,7 +268,7 @@ def _reduce_merge(kind: str, inputs: list[str]):
         if kind == "merge":
             summary += f", comparing {instance.first} against {instance.second}"
     else:
-        designated = merge_prime(t1, t2).designated if kind == "merge-prime" else instance.first
+        designated = instance.first
         extra = _shape(election, designated=designated)
         if kind == "merge-prime":
             summary += f", designated {designated}"

@@ -344,10 +344,7 @@ def build_merge(t1: DodgsonTriple, t2: DodgsonTriple) -> tuple[RankingInstance, 
     track the swap, so the returned ``first``/``second`` always correspond to
     ``t1``/``t2``.
     """
-    _require_odd(t1, "the first election")
-    _require_odd(t2, "the second election")
-    if t1.designated == t2.designated:
-        raise ValueError("designated candidates must differ")
+    TwoERInstance(t1, t2)  # validates the pair
     maps, lists, origins = _renamed_blocks([t1, t2])
     # per input: triple, designated name, rename map, block list, voter label;
     # the input with more voters plays the big role

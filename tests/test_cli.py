@@ -103,10 +103,46 @@ def test_2er_command(files):
 def test_merge_and_2er_share_the_odd_voter_message(files, tmp_path, capsys):
     # one check words the rule for every construction that needs odd voters
     even, odd = files["even.dodg"] + ":a", files["t1.dodg"] + ":1"
+    errors = []
     for argv in (["reduce", "merge", even, odd, "-o", str(tmp_path / "m")], ["2er", even, odd]):
         assert main(argv) == 2
-        err = capsys.readouterr().err.strip()
-        assert err.endswith("must have an odd number of voters, got 2"), err
+        errors.append(capsys.readouterr().err.strip())
+        assert errors[-1].endswith("must have an odd number of voters, got 2"), errors[-1]
+    assert errors[0] == errors[1]
+
+
+def test_reduce_merge_prime_builds_the_merge_once(files, tmp_path, monkeypatch):
+    import dodgson.cli as cli
+    import dodgson.gadgets as gadgets
+
+    build, calls = gadgets.build_merge, []
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(gadgets, "build_merge", counted)
+    monkeypatch.setattr(cli, "build_merge", counted)
+    argv = ["reduce", "merge-prime", files["cycle.dodg"] + ":a", files["t2b.dodg"] + ":u1",
+            "-o", str(tmp_path / "p")]
+    assert main(argv) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["score", "{tmp}/missing.dodg", "-c", "a"], "cannot read {tmp}/missing.dodg: "),
+    (["2er", "{cycle}", "{t1}:1"], "expected 'file:candidate', got '{cycle}'"),
+    (["reduce", "3dm", "{yes2}", "{yes2}", "-o", "{tmp}/r"],
+     "reduce 3dm takes exactly one .3dm file"),
+    (["reduce", "merge", "{cycle}:a", "-o", "{tmp}/m"],
+     "reduce merge takes exactly two file:candidate inputs"),
+])
+def test_input_errors_exit_two(argv, message, files, tmp_path, capsys):
+    names = {name.split(".")[0]: path for name, path in files.items()} | {"tmp": str(tmp_path)}
+    assert main([arg.format(**names) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: " + message.format(**names)), captured.err
 
 
 def test_oracle_command(files, capsys):

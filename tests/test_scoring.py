@@ -143,6 +143,11 @@ def test_witness_realizes_the_score(orders):
         assert result.score <= e.n * (len(e.candidates) - 1)
 
 
+def test_apply_raises_rejects_a_wrong_length(cycle):
+    with pytest.raises(ValueError, match="expected 3 raise entries, got 2"):
+        apply_raises(triple(cycle, "c"), (0, 1))
+
+
 def test_witness_is_deterministic(cycle):
     t = triple(cycle, "c")
     first, second = score_exact(t), score_exact(t)

@@ -1,6 +1,10 @@
+import dataclasses
+
 import pytest
 
+from dodgson.elections import Election, VoterProfile
 from dodgson.gadgets import TwoERInstance
+from dodgson.scoring import ScoreResult
 from dodgson.verify import (
     RunConfig,
     SUITE_NAMES,
@@ -57,6 +61,15 @@ def _wrong_separators(build_sum):
     return broken
 
 
+def _one_voter_short(build_merge):
+    def broken(t1, t2):
+        instance, info = build_merge(t1, t2)
+        orders = list(instance.election.profile.orders())[1:]
+        short = Election(instance.election.candidates, VoterProfile.from_orders(orders))
+        return dataclasses.replace(instance, election=short), info
+    return broken
+
+
 def _escaping(reduce_2er_to_winner):
     def broken(value):
         return reduce_2er_to_winner(value) if isinstance(value, TwoERInstance) else value
@@ -77,16 +90,33 @@ FORCED_FAILURES = {
     "4-shape": ("4", "build_sum", _wrong_separators,
                 "sum-shape", {"counterexample-sum.dodg"},
                 {"sum-additivity": 1, "sum-shape": 1}),
+    "4-additivity": ("4", "score_exact", lambda _: _always(ScoreResult(1, ())),
+                     "sum-additivity",
+                     {"counterexample-input-1.dodg", "counterexample-input-2.dodg",
+                      "counterexample-sum.dodg"},
+                     {"sum-additivity": 2, "sum-shape": 2}),
     "6-dominance": ("6", "score_decision", lambda _: _always(True),
                     "merge-dominance",
                     {"counterexample-input-1.dodg", "counterexample-input-2.dodg"},
                     {"merge-plus-one": 1, "merge-dominance": 1, "merge-shape": 1}),
+    "6-shape": ("6", "build_merge", _one_voter_short,
+                "merge-shape",
+                {"counterexample-input-1.dodg", "counterexample-input-2.dodg"},
+                {"merge-plus-one": 1, "merge-dominance": 1, "merge-shape": 1}),
+    "6-plus-one": ("6", "score_exact", lambda _: _always(ScoreResult(1, ())),
+                   "merge-plus-one",
+                   {"counterexample-input-1.dodg", "counterexample-input-2.dodg"},
+                   {"merge-plus-one": 1, "merge-dominance": 1, "merge-shape": 1}),
     "wagner": ("wagner", "two_election_ranking", lambda _: _always(None),
                "parity-law", set(), {"parity-law": 1}),
     "theorems-ranking": ("theorems", "ranks_at_least", lambda _: _always(None),
                          "ranking-reduction",
                          {"counterexample-input-1.dodg", "counterexample-input-2.dodg"},
                          {"ranking-reduction": 1, "winner-reduction": 1, "sentinel-branch": 5}),
+    "theorems-winner": ("theorems", "is_winner", lambda _: _always(None),
+                        "winner-reduction",
+                        {"counterexample-input-1.dodg", "counterexample-input-2.dodg"},
+                        {"ranking-reduction": 1, "winner-reduction": 1, "sentinel-branch": 5}),
     "theorems-sentinel": ("theorems", "reduce_2er_to_winner", _escaping,
                           "sentinel-branch", set(),
                           {"ranking-reduction": 2, "winner-reduction": 2, "sentinel-branch": 1}),
