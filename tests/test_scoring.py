@@ -16,6 +16,7 @@ from dodgson import (
     dodgson_winners,
     is_winner,
     merge,
+    parse_election,
     parse_matching,
     ranks_at_least,
     reduce_3dm,
@@ -26,7 +27,8 @@ from dodgson import (
     unit_chain,
 )
 
-from dodgson.scoring import _CoverSearch, _cover_problem
+from dodgson import scoring
+from dodgson.scoring import _LP_SCALE, _CoverSearch, _cover_problem, _dual_bound, _lp_weights
 
 from conftest import election, time_limit
 
@@ -476,3 +478,177 @@ def test_exact_fit_matches_brute_force():
                 assert search.exact_fit(layer, avail, state) == want, (i, name, layer, state)
                 seen[want] += 1
     assert min(seen.values()) >= 300, seen
+
+
+# --- the Lagrangian bound and the LP rung of the ladder ----------------------------
+
+
+def _lp_bound(t: DodgsonTriple) -> int:
+    problem = _cover_problem(t)
+    return _dual_bound(problem, _lp_weights(problem), _LP_SCALE)
+
+
+def test_dual_bound_is_admissible_for_any_weights():
+    # ceil(L(Y)) is at most the brute-force score for every integer Y >= 0,
+    # at any scale, and so is the LP bound
+    from dodgson.verify import random_election, trial_rng
+
+    checked = 0
+    for i in range(40):
+        rng = trial_rng(11, "dual-bound", i)
+        size = rng.randint(3, 4)
+        e = random_election(rng, tuple("abcd"[:size]), rng.choice([1, 2, 3]))
+        for name in e.candidates:
+            t = triple(e, name)
+            problem = _cover_problem(t)
+            if not problem.coords:
+                continue
+            score, _ = _brute_force_score_and_witness(t)
+            for scale in (1, 3, 1 << 20):
+                for _ in range(10):
+                    y = [rng.randint(0, 4 * scale) for _ in problem.coords]
+                    assert _dual_bound(problem, y, scale) <= score, (i, name, y, scale)
+                    checked += 1
+            assert sum(problem.start) <= _lp_bound(t) <= score
+    assert checked >= 1000
+
+
+def _pass_costs(problem, x: int) -> list[int]:
+    """The cost of passing opponent x, once per copy that can pass it."""
+    return sorted(
+        grp.costs[grp.coords.index(x) + 1]
+        for grp in problem.groups if x in grp.coords
+        for _ in range(grp.mult)
+    )
+
+
+def test_dual_bound_generalises_the_search_bounds():
+    # On seeded cover problems: y = 1 gives the deficit sum, y = t e_x the
+    # cost of x's r_x cheapest passes, and y = 1 + e_x the efficient-supply
+    # bound r + r_x - F_x.  The LP weights do at least as well as all three.
+    from dodgson.verify import random_election, trial_rng
+
+    seen = 0
+    for i in range(30):
+        rng = trial_rng(13, "special-weights", i)
+        e = random_election(rng, tuple("abcde"[: rng.randint(3, 5)]), rng.choice([3, 5, 7]))
+        e = Election(e.candidates, VoterProfile.from_orders(list(e.profile.orders()) * 2))
+        for name in e.candidates:
+            problem = _cover_problem(triple(e, name))
+            if not problem.coords:
+                continue
+            r = sum(problem.start)
+            best = r
+            assert _dual_bound(problem, [1] * len(problem.coords)) == r
+            for x, need in enumerate(problem.start):
+                unit = [0] * len(problem.coords)
+                unit[x] = 1
+                costs = _pass_costs(problem, x)
+                cheapest = sum(costs[:need])
+                assert _dual_bound(problem, [costs[need - 1] * u for u in unit]) == cheapest
+                free = sum(
+                    grp.mult for grp in problem.groups
+                    for k, z in enumerate(grp.coords, start=1) if z == x and grp.costs[k] == k
+                )
+                supply = r + need - free
+                assert _dual_bound(problem, [1 + u for u in unit]) == supply
+                best = max(best, cheapest, supply)
+                seen += 1
+            assert _dual_bound(problem, _lp_weights(problem), _LP_SCALE) >= best
+    assert seen >= 100
+
+
+def _merge_separator(t1: str, d1: str, t2: str, d2: str, name: str) -> DodgsonTriple:
+    left = DodgsonTriple(parse_election(t1), d1)
+    right = DodgsonTriple(parse_election(t2), d2)
+    return DodgsonTriple(merge(left, right).election, name)
+
+
+# merge inputs of the gadget pool, and separators whose score sits 8-21
+# switches above the search's root bound but equals the LP bound
+_MERGE_2 = ("candidates: a1 a2 a3\n1: a1<a2<a3\n1: a2<a1<a3\n1: a3<a1<a2\n", "a2",
+            "candidates: z1 z2 z3\n1: z1<z3<z2\n1: z2<z1<z3\n1: z3<z1<z2\n", "z3")
+_MERGE_7 = ("candidates: a1 a2 a3\n2: a1<a3<a2\n1: a2<a1<a3\n", "a2",
+            "candidates: z1 z2 z3\n2: z1<z2<z3\n1: z3<z2<z1\n", "z2")
+
+
+def _defect1_separator(name: str) -> DodgsonTriple:
+    return _merge_separator("candidates: a1 a2\n1: a2<a1\n", "a1",
+                            "candidates: z1 z2 z3\n1: z1<z2<z3\n1: z2<z3<z1\n1: z3<z1<z2\n", "z1",
+                            name)
+
+
+_SEPARATORS = [
+    (_MERGE_2, "s12", 121), (_MERGE_2, "s22", 91),
+    (_MERGE_7, "s12", 122), (_MERGE_7, "s16", 110), (_MERGE_7, "s8", 134),
+]
+
+
+@pytest.mark.parametrize("pair, name, score", _SEPARATORS)
+def test_merge_separators_score_within_time(pair, name, score):
+    # Before the LP rung the ladder refuted every budget from the root bound
+    # up, and these took 3.1-9.4 s each; now at most 0.9 s, most of it the
+    # one budget refuted before the LP runs.  References from the Bartholdi-
+    # Tovey-Trick integer program.
+    t = _merge_separator(*pair, name)
+    with time_limit(3):
+        result = score_exact(t)
+    assert result.score == score == sum(result.witness)
+    assert condorcet_winner(apply_raises(t, result.witness)) == name
+    assert _lp_bound(t) == score
+
+
+def test_lp_runs_once_per_score_and_never_in_a_decision(monkeypatch):
+    calls = []
+    solve = scoring._lp_weights
+
+    def counted(problem):
+        calls.append(problem)
+        return solve(problem)
+
+    monkeypatch.setattr(scoring, "_lp_weights", counted)
+    t = _defect1_separator("s20")  # its ladder climbs from 44 to 55
+    assert score_exact(t).score == 55
+    assert len(calls) == 1
+    assert score_decision(t, 55) and not score_decision(t, 54)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["s15", "s17", "s20", "s22"])
+def test_lp_rung_keeps_the_witness(monkeypatch, name):
+    # Defect-1 merge separators, whose ladders climb 7-14 rungs: the LP jump
+    # skips only budgets below the score, so the score and the least witness
+    # are those of the plain ladder (the LP weights zeroed bound nothing).
+    t = _defect1_separator(name)
+    assert _lp_bound(t) == score_exact(t).score
+    jumped = score_exact(t)
+    monkeypatch.setattr(scoring, "_lp_weights", lambda problem: [0] * len(problem.coords))
+    assert score_exact(t) == jumped
+
+
+def test_ladder_climbs_past_a_loose_lp_bound():
+    # 3dm-13's `c`: the LP bound (9) is one below the score (10), so the
+    # ladder may not stop at it.  Reference from the Bartholdi-Tovey-Trick
+    # integer program.
+    text = ("W: w1 w2 w3\nX: x1 x2 x3\nY: y1 y2 y3\nw1 x1 y3\nw1 x2 y2\nw1 x3 y1\nw2 x1 y1\n"
+            "w2 x1 y2\nw2 x1 y3\nw3 x1 y1\nw3 x1 y2\nw3 x2 y1\nw3 x3 y2\n")
+    t = DodgsonTriple(reduce_3dm(parse_matching(text)).triple.election, "c")
+    assert _lp_bound(t) == 9
+    result = score_exact(t)
+    assert result.score == 10 == sum(result.witness)
+    assert condorcet_winner(apply_raises(t, result.witness)) == "c"
+    assert score_exact(t, state_cap=1) == result
+
+
+def test_lp_on_hundreds_of_groups_is_quick():
+    # 601 voters over 5 candidates in 595 runs of identical voters (120
+    # distinct orders): the LP is built over distinct types, not groups.
+    rng = random.Random("lp-five:0")
+    names = tuple("abcde")
+    orders = [PreferenceOrder(tuple(rng.sample(names, len(names)))) for _ in range(601)]
+    e = Election(names, VoterProfile.from_orders(orders))
+    assert len(e.profile.groups) == 595
+    t = triple(e, "d")
+    with time_limit(1):
+        bound = _lp_bound(t)
+    assert sum(deficit_vector(t).values()) <= bound <= score_exact(t).score == 24
