@@ -49,7 +49,6 @@ from .scoring import (
     ScoreResult,
     all_scores,
     apply_raises,
-    dodgson_winners,
     is_winner,
     ranks_at_least,
     score_decision,
@@ -78,7 +77,6 @@ __all__ = [
     "score_decision",
     "score_oracle",
     "all_scores",
-    "dodgson_winners",
     "is_winner",
     "ranks_at_least",
     "two_election_ranking",

@@ -103,6 +103,12 @@ def has_matching(instance: MatchingInstance) -> bool:
     return cover(0)
 
 
+def _canonical_universe(q: int) -> tuple[tuple[tuple[str, ...], ...], list[Triple]]:
+    """Token sets w1..wq / x1..xq / y1..yq and all their triples, sorted."""
+    tokens = tuple(tuple(f"{p}{i}" for i in range(1, q + 1)) for p in "wxy")
+    return tokens, sorted(itertools.product(*tokens))
+
+
 def enumerate_instances(q: int, m_range: tuple[int, int]) -> Iterator[MatchingInstance]:
     """All instances over canonical token sets w1..wq / x1..xq / y1..yq whose
     triple count lies in the inclusive ``m_range``.  Desk scale: q <= 3."""
@@ -110,14 +116,11 @@ def enumerate_instances(q: int, m_range: tuple[int, int]) -> Iterator[MatchingIn
         raise ValueError(f"q must be positive, got {q}")
     if q > 3:
         raise ValueError(f"enumeration is desk scale only (q <= 3), got q={q}")
-    w = tuple(f"w{i}" for i in range(1, q + 1))
-    x = tuple(f"x{i}" for i in range(1, q + 1))
-    y = tuple(f"y{i}" for i in range(1, q + 1))
-    universe = sorted(itertools.product(w, x, y))
+    tokens, universe = _canonical_universe(q)
     low, high = m_range
     for m in range(max(low, 0), min(high, len(universe)) + 1):
         for combo in itertools.combinations(universe, m):
-            yield MatchingInstance(w, x, y, combo)
+            yield MatchingInstance(*tokens, combo)
 
 
 def parse_matching(text: str) -> MatchingInstance:

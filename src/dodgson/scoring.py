@@ -10,9 +10,10 @@ Two independent routes to the same quantity:
   fixed number of candidates.  A budget-limited depth-first search with an
   explicit stack tries these counts in ascending order, pruned by admissible
   bounds and a failure memo.  :func:`score_decision` and the decisions built
-  on it run it once at their budget; :func:`score_exact` runs it at rising
-  budgets from the root bound, after two failures jumping once to the LP
-  bound of the program's relaxation, and the first budget that admits a
+  on it check the deficit sum before building the cover problem and, if it
+  fits, run the search once at their budget; :func:`score_exact` runs it at
+  rising budgets from the root bound, after two failures jumping once to the
+  LP bound of the program's relaxation, and the first budget that admits a
   cover is the score and gives the witness.  Where the budget left equals
   the residual deficit sum, only covers that pass each opponent exactly its
   residual with no wasted switch remain; one exact-fit check decides whether
@@ -45,7 +46,6 @@ __all__ = [
     "score_decision",
     "score_oracle",
     "all_scores",
-    "dodgson_winners",
     "is_winner",
     "ranks_at_least",
     "two_election_ranking",
@@ -88,8 +88,7 @@ class _CoverProblem:
     groups: tuple[_Group, ...]
 
 
-def _cover_problem(triple: DodgsonTriple) -> _CoverProblem:
-    deficits = deficit_vector(triple)
+def _cover_problem(triple: DodgsonTriple, deficits: dict[str, int]) -> _CoverProblem:
     coords = tuple(sorted(d for d, v in deficits.items() if v > 0))
     coord_index = {name: i for i, name in enumerate(coords)}
     start = tuple(deficits[name] for name in coords)
@@ -550,7 +549,9 @@ def score_exact(triple: DodgsonTriple, *, state_cap: int = DEFAULT_STATE_CAP) ->
     below it are skipped: the first budget that admits a cover is the score,
     and its first cover the witness.
     """
-    problem = _cover_problem(triple)
+    if state_cap < 0:
+        raise ValueError(f"state_cap must be non-negative, got {state_cap}")
+    problem = _cover_problem(triple, deficit_vector(triple))
     n = triple.election.n
     if not problem.coords:
         return ScoreResult(0, (0,) * n)
@@ -592,9 +593,12 @@ def score_decision(
     """Is the Dodgson score at most ``budget``?"""
     if budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
-    problem = _cover_problem(triple)
-    if sum(problem.start) > budget:
+    if state_cap < 0:
+        raise ValueError(f"state_cap must be non-negative, got {state_cap}")
+    deficits = deficit_vector(triple)
+    if sum(deficits.values()) > budget:
         return False
+    problem = _cover_problem(triple, deficits)
     return not problem.coords or _CoverSearch(problem, state_cap).cover(budget) is not None
 
 
@@ -705,19 +709,14 @@ def all_scores(election: Election, *, state_cap: int = DEFAULT_STATE_CAP) -> dic
     }
 
 
-def dodgson_winners(election: Election, *, state_cap: int = DEFAULT_STATE_CAP) -> list[str]:
-    scores = all_scores(election, state_cap=state_cap)
-    low = min(scores.values())
-    return [name for name in election.candidates if scores[name] == low]
-
-
 def _some_rival_below(
     triple: DodgsonTriple, rivals: Iterable[DodgsonTriple], state_cap: int
 ) -> bool:
     """Score ``triple`` exactly, then decide whether some rival scores at most
     one less.  Rivals get budget-limited decisions rather than full scoring,
-    which keeps this usable on large gadget-built elections; the first rival
-    found below ends the check."""
+    and the first rival found below ends the check.  On the 2,900-candidate
+    winner reduction of one parity chain, is_winner takes 10 s (Python 3.11,
+    2 shared cores), nearly all of it counting each rival's deficits."""
     own = score_exact(triple, state_cap=state_cap).score
     return own > 0 and any(score_decision(rival, own - 1, state_cap=state_cap) for rival in rivals)
 

@@ -12,7 +12,6 @@ runs.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass, field
 
@@ -38,6 +37,7 @@ from .matching import (
     CANONICAL_NO,
     CANONICAL_YES,
     MatchingInstance,
+    _canonical_universe,
     enumerate_instances,
     has_matching,
     serialize_matching,
@@ -128,11 +128,8 @@ def random_triple(
 
 
 def random_matching(rng: random.Random, q: int, m: int) -> MatchingInstance:
-    w = tuple(f"w{i}" for i in range(1, q + 1))
-    x = tuple(f"x{i}" for i in range(1, q + 1))
-    y = tuple(f"y{i}" for i in range(1, q + 1))
-    universe = sorted(itertools.product(w, x, y))
-    return MatchingInstance(w, x, y, tuple(rng.sample(universe, m)))
+    tokens, universe = _canonical_universe(q)
+    return MatchingInstance(*tokens, tuple(rng.sample(universe, m)))
 
 
 def merge_corpus(config: RunConfig) -> list[tuple[DodgsonTriple, DodgsonTriple]]:

@@ -47,6 +47,24 @@ def test_score_negative_budget_exits_two(files, capsys):
     assert "non-negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["score", "{cycle}", "-c", "c"],
+    ["score", "{cycle}", "-c", "c", "--at-most", "1"],
+    ["score", "{unanimous}", "-c", "c"],
+    ["winner", "{cycle}"],
+    ["winner", "{cycle}", "-c", "a"],
+    ["ranking", "{cycle}", "-c", "a", "-d", "b"],
+    ["2er", "{t5}:1", "{t2b}:u1"],
+    ["verify", "4", "--trials", "1"],
+])
+def test_negative_state_cap_exits_two(argv, files, capsys):
+    names = {name.split(".")[0]: path for name, path in files.items()}
+    assert main([arg.format(**names) for arg in argv] + ["--state-cap", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: state_cap must be non-negative, got -5\n"
+
+
 def test_score_at_most_on_many_voters(tmp_path, capsys):
     # 3,001 voters: one search layer per voter
     path = tmp_path / "two.dodg"

@@ -13,7 +13,6 @@ from dodgson import (
     apply_raises,
     condorcet_winner,
     deficit_vector,
-    dodgson_winners,
     is_winner,
     merge,
     parse_election,
@@ -62,10 +61,23 @@ def test_unanimous_scores(unanimous):
 def test_single_candidate_election():
     e = election("solo", "solo")
     assert all_scores(e) == {"solo": 0}
-    assert dodgson_winners(e) == ["solo"]
+    assert is_winner(triple(e, "solo"))
 
 
 # --- decisions ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("solve", [
+    lambda t, cap: score_exact(t, state_cap=cap),
+    lambda t, cap: score_decision(t, 5, state_cap=cap),
+    lambda t, cap: is_winner(t, state_cap=cap),
+])
+def test_negative_state_cap_is_rejected(unanimous, solve):
+    # checked before any early return, on a Condorcet winner too; 0 means no memo
+    for t in (triple(unanimous, "c"), unit_chain(3)):
+        with pytest.raises(ValueError, match="state_cap must be non-negative, got -1"):
+            solve(t, -1)
+        solve(t, 0)
 
 
 def test_decision_budgets(unanimous, cycle):
@@ -245,6 +257,81 @@ def test_cycle_three_way_winner_tie(cycle):
 def test_unanimous_winner(unanimous):
     assert is_winner(triple(unanimous, "c"))
     assert not is_winner(triple(unanimous, "a"))
+
+
+def test_rivals_refuted_by_their_deficit_sum_build_nothing(monkeypatch):
+    # is_winner on merge_prime instances builds a cover problem, and a search,
+    # only for the designated candidate and for rivals whose deficit sum fits
+    # within its score less one; every other rival is refuted by that sum.
+    from dodgson import merge_prime
+    from dodgson.verify import RunConfig, merge_corpus
+
+    built, searched = [], []
+    build, search = scoring._cover_problem, scoring._CoverSearch
+
+    def counted(t, deficits):
+        problem = build(t, deficits)
+        built.append((t.designated, problem))
+        return problem
+
+    class CountedSearch(search):
+        def __init__(self, problem, state_cap):
+            searched.append(problem)
+            super().__init__(problem, state_cap)
+
+    monkeypatch.setattr(scoring, "_cover_problem", counted)
+    monkeypatch.setattr(scoring, "_CoverSearch", CountedSearch)
+    refuted = rivals_built = 0
+    for seed in range(3):
+        for t1, t2 in merge_corpus(RunConfig(seed=seed, trials=4)):
+            t = merge_prime(t1, t2)
+            e = t.election
+            own = score_exact(t).score
+            fits = {name for name in e.candidates if name != t.designated
+                    and sum(deficit_vector(triple(e, name)).values()) <= own - 1}
+            built.clear()
+            searched.clear()
+            is_winner(t)
+            names = [name for name, _ in built]
+            assert names[0] == t.designated and set(names[1:]) <= fits, (seed, names)
+            assert all(any(p is q for _, q in built) for p in searched)
+            refuted += len(e.candidates) - 1 - len(fits)
+            rivals_built += len(names) - 1
+    assert refuted >= 300 and rivals_built >= 1, (refuted, rivals_built)
+
+
+def test_each_score_and_decision_counts_deficits_once(monkeypatch):
+    calls = []
+    count = scoring.deficit_vector
+    monkeypatch.setattr(scoring, "deficit_vector", lambda t: calls.append(t) or count(t))
+    t = _defect1_separator("s20")  # deficit sum 44, score 55
+    for solve in (score_exact, lambda t: score_decision(t, 55), lambda t: score_decision(t, 54),
+                  lambda t: score_decision(t, 43)):
+        calls.clear()
+        solve(t)
+        assert calls == [t]
+
+
+def test_is_winner_matches_the_argmin_of_all_scores():
+    # every candidate of seeded merge_corpus pairs, their merge_prime outputs
+    # and parity_combine outputs wins exactly when its score is least
+    from dodgson import merge_prime, parity_combine
+    from dodgson.verify import RunConfig, merge_corpus, random_matching, trial_rng
+
+    elections = []
+    for t1, t2 in merge_corpus(RunConfig(seed=0, trials=2)):
+        elections += [t1.election, t2.election, merge_prime(t1, t2).election]
+    rng = trial_rng(5, "parity", 0)
+    pair = parity_combine([random_matching(rng, 2, rng.randint(1, 4)) for _ in range(2)])
+    elections += [pair.left.election, pair.right.election]
+    seen = {True: 0, False: 0}
+    for e in elections:
+        scores = all_scores(e)
+        for name in e.candidates:
+            won = is_winner(triple(e, name))
+            assert won == (scores[name] == min(scores.values())), name
+            seen[won] += 1
+    assert min(seen.values()) >= 7, seen
 
 
 def test_ranks_at_least(cycle, unanimous):
@@ -469,7 +556,7 @@ def test_exact_fit_matches_brute_force():
         groups = tuple((PreferenceOrder(tuple(rng.sample(names, len(names)))), m) for m in mults)
         e = Election(names, VoterProfile(groups))
         for name in names:
-            problem = _cover_problem(triple(e, name))
+            problem = _cover_problem(triple(e, name), deficit_vector(triple(e, name)))
             if not problem.coords:
                 continue
             search = _CoverSearch(problem, 10)
@@ -484,7 +571,7 @@ def test_exact_fit_matches_brute_force():
 
 
 def _lp_bound(t: DodgsonTriple) -> int:
-    problem = _cover_problem(t)
+    problem = _cover_problem(t, deficit_vector(t))
     return _dual_bound(problem, _lp_weights(problem), _LP_SCALE)
 
 
@@ -500,7 +587,7 @@ def test_dual_bound_is_admissible_for_any_weights():
         e = random_election(rng, tuple("abcd"[:size]), rng.choice([1, 2, 3]))
         for name in e.candidates:
             t = triple(e, name)
-            problem = _cover_problem(t)
+            problem = _cover_problem(t, deficit_vector(t))
             if not problem.coords:
                 continue
             score, _ = _brute_force_score_and_witness(t)
@@ -534,7 +621,7 @@ def test_dual_bound_generalises_the_search_bounds():
         e = random_election(rng, tuple("abcde"[: rng.randint(3, 5)]), rng.choice([3, 5, 7]))
         e = Election(e.candidates, VoterProfile.from_orders(list(e.profile.orders()) * 2))
         for name in e.candidates:
-            problem = _cover_problem(triple(e, name))
+            problem = _cover_problem(triple(e, name), deficit_vector(triple(e, name)))
             if not problem.coords:
                 continue
             r = sum(problem.start)
