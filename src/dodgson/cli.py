@@ -29,7 +29,6 @@ from .gadgets import (
 from .matching import parse_matching
 from .scoring import (
     DEFAULT_ORACLE_CAP,
-    DEFAULT_STATE_CAP,
     all_scores,
     is_winner,
     ranks_at_least,
@@ -141,23 +140,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="base seed for random trials")
     p.add_argument("--trials", type=int, default=25, help="random trials per property")
 
-    for name, p in sub.choices.items():
+    for p in sub.choices.values():
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        if name not in ("oracle", "reduce"):
-            p.add_argument(
-                "--state-cap", type=int, default=DEFAULT_STATE_CAP,
-                help="cap on the memo of search states proven too costly",
-            )
     return parser
 
 
 def _cmd_score(args) -> int:
     triple = _load_designated(args.file, args.candidate)
     if args.at_most is not None:
-        verdict = score_decision(triple, args.at_most, state_cap=args.state_cap)
+        verdict = score_decision(triple, args.at_most)
         return _decide({"command": "score", "candidate": args.candidate,
                         "at_most": args.at_most, "decision": verdict}, verdict, args.json)
-    result = score_exact(triple, state_cap=args.state_cap)
+    result = score_exact(triple)
     lines = [f"score: {result.score}"]
     payload = {"command": "score", "candidate": args.candidate, "score": result.score}
     if args.witness:
@@ -169,11 +163,11 @@ def _cmd_score(args) -> int:
 
 def _cmd_winner(args) -> int:
     if args.candidate is not None:
-        verdict = is_winner(_load_designated(args.file, args.candidate), state_cap=args.state_cap)
+        verdict = is_winner(_load_designated(args.file, args.candidate))
         return _decide({"command": "winner", "candidate": args.candidate, "winner": verdict},
                        verdict, args.json)
     election = _load_election(args.file)
-    scores = all_scores(election, state_cap=args.state_cap)
+    scores = all_scores(election)
     low = min(scores.values())
     winners = [name for name in election.candidates if scores[name] == low]
     lines = [f"{name}: {scores[name]}" for name in election.candidates]
@@ -186,7 +180,7 @@ def _cmd_ranking(args) -> int:
     election = _load_election(args.file)
     for name in (args.candidate, args.other):
         _require_candidate(election, name, args.file)
-    verdict = ranks_at_least(election, args.candidate, args.other, state_cap=args.state_cap)
+    verdict = ranks_at_least(election, args.candidate, args.other)
     return _decide({"command": "ranking", "first": args.candidate, "second": args.other,
                     "ranks_at_least": verdict}, verdict, args.json)
 
@@ -194,7 +188,7 @@ def _cmd_ranking(args) -> int:
 def _cmd_2er(args) -> int:
     left = _load_triple(args.left)
     right = _load_triple(args.right)
-    verdict = two_election_ranking(left, right, state_cap=args.state_cap)
+    verdict = two_election_ranking(left, right)
     return _decide({"command": "2er", "left": args.left, "right": args.right, "member": verdict},
                    verdict, args.json)
 
@@ -317,7 +311,7 @@ def _cmd_reduce(args) -> int:
 def _cmd_verify(args) -> int:
     if args.trials < 1:
         raise _Input("--trials must be at least 1")
-    config = RunConfig(seed=args.seed, trials=args.trials, state_cap=args.state_cap)
+    config = RunConfig(seed=args.seed, trials=args.trials)
     results = run_suite(args.suite, config)
     lines = []
     fixture_paths: list[str] = []
@@ -337,7 +331,7 @@ def _cmd_verify(args) -> int:
     payload = {
         "command": "verify",
         "suite": args.suite,
-        "config": {"seed": config.seed, "trials": config.trials, "state_cap": config.state_cap},
+        "config": {"seed": config.seed, "trials": config.trials},
         "results": [
             {"name": c.name, "passed": c.passed, "checked": c.checked, "detail": c.detail}
             for c in results

@@ -38,7 +38,6 @@ from .elections import DodgsonTriple, Election, VoterProfile, deficit_vector, ma
 from .gadgets import TwoERInstance
 
 __all__ = [
-    "DEFAULT_STATE_CAP",
     "DEFAULT_ORACLE_CAP",
     "RaiseAllocation",
     "ScoreResult",
@@ -52,8 +51,8 @@ __all__ = [
     "apply_raises",
 ]
 
-DEFAULT_STATE_CAP = 10_000_000
 DEFAULT_ORACLE_CAP = 20
+_MEMO_CAP = 10_000_000  # failed states remembered per search; bounds memory on long searches
 _LP_SCALE = 1 << 20  # LP weights are rounded to multiples of 1 / _LP_SCALE
 
 # Per-voter upward switch counts, flat-indexed; cost is the sum.
@@ -137,12 +136,11 @@ class _CoverSearch:
     that meets its cover without backtracking never checks.
     """
 
-    def __init__(self, problem: _CoverProblem, state_cap: int):
+    def __init__(self, problem: _CoverProblem):
         self.problem = problem
-        self.state_cap = state_cap
         groups = problem.groups
         # (layer, copies available, residual) -> largest budget proven too
-        # small from there; the only record ``state_cap`` caps.
+        # small from there; the only record ``_MEMO_CAP`` caps.
         self.failed: dict[tuple[int, int, tuple[int, ...]], float] = {}
         # own[L][x]: (cost of passing opponent x above the level below layer
         # L, whether that raise is free of waste), or None; built when first needed.
@@ -383,7 +381,7 @@ class _CoverSearch:
         """First cover of cost <= ``budget`` as the stack of frames that chose
         it, each frame's option at index 5 less one, or None.
 
-        A failure leaves the root's proven bound in the memo (within the cap).
+        A failure leaves the root's proven bound in the memo (within ``_MEMO_CAP``).
         """
         groups, layers, entry, lower = self.problem.groups, self.layers, self.entry, self.lower
         start = self.problem.start
@@ -447,7 +445,7 @@ class _CoverSearch:
                 stack.append(child)
                 continue
             stack.pop()
-            if len(self.failed) < self.state_cap:
+            if len(self.failed) < _MEMO_CAP:
                 self.failed[(layer, avail, state)] = best - 1
             if stack:
                 parent = stack[-1]
@@ -538,7 +536,7 @@ def _lp_weights(problem: _CoverProblem) -> list[int]:
     return y
 
 
-def score_exact(triple: DodgsonTriple, *, state_cap: int = DEFAULT_STATE_CAP) -> ScoreResult:
+def score_exact(triple: DodgsonTriple) -> ScoreResult:
     """Exact Dodgson score with the lexicographically least witness achieving it.
 
     The search runs at rising budgets from the root bound, sharing its memo;
@@ -549,13 +547,11 @@ def score_exact(triple: DodgsonTriple, *, state_cap: int = DEFAULT_STATE_CAP) ->
     below it are skipped: the first budget that admits a cover is the score,
     and its first cover the witness.
     """
-    if state_cap < 0:
-        raise ValueError(f"state_cap must be non-negative, got {state_cap}")
     problem = _cover_problem(triple, deficit_vector(triple))
     n = triple.election.n
     if not problem.coords:
         return ScoreResult(0, (0,) * n)
-    search = _CoverSearch(problem, state_cap)
+    search = _CoverSearch(problem)
     layer, avail = search.entry[0]
     # Raising the designated candidate to the top of every voter is a cover,
     # so the bound is finite and some budget succeeds.
@@ -587,19 +583,15 @@ def score_exact(triple: DodgsonTriple, *, state_cap: int = DEFAULT_STATE_CAP) ->
     return ScoreResult(budget, tuple(raises))
 
 
-def score_decision(
-    triple: DodgsonTriple, budget: int, *, state_cap: int = DEFAULT_STATE_CAP
-) -> bool:
+def score_decision(triple: DodgsonTriple, budget: int) -> bool:
     """Is the Dodgson score at most ``budget``?"""
     if budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
-    if state_cap < 0:
-        raise ValueError(f"state_cap must be non-negative, got {state_cap}")
     deficits = deficit_vector(triple)
     if sum(deficits.values()) > budget:
         return False
     problem = _cover_problem(triple, deficits)
-    return not problem.coords or _CoverSearch(problem, state_cap).cover(budget) is not None
+    return not problem.coords or _CoverSearch(problem).cover(budget) is not None
 
 
 def score_oracle(triple: DodgsonTriple, cap: int = DEFAULT_ORACLE_CAP) -> int | None:
@@ -701,37 +693,33 @@ def score_oracle(triple: DodgsonTriple, cap: int = DEFAULT_ORACLE_CAP) -> int | 
     return None
 
 
-def all_scores(election: Election, *, state_cap: int = DEFAULT_STATE_CAP) -> dict[str, int]:
+def all_scores(election: Election) -> dict[str, int]:
     """Exact Dodgson score of every candidate; winners are the argmin set."""
     return {
-        name: score_exact(DodgsonTriple(election, name), state_cap=state_cap).score
+        name: score_exact(DodgsonTriple(election, name)).score
         for name in election.candidates
     }
 
 
-def _some_rival_below(
-    triple: DodgsonTriple, rivals: Iterable[DodgsonTriple], state_cap: int
-) -> bool:
+def _some_rival_below(triple: DodgsonTriple, rivals: Iterable[DodgsonTriple]) -> bool:
     """Score ``triple`` exactly, then decide whether some rival scores at most
     one less.  Rivals get budget-limited decisions rather than full scoring,
     and the first rival found below ends the check.  On the 2,900-candidate
     winner reduction of one parity chain, is_winner takes 10 s (Python 3.11,
     2 shared cores), nearly all of it counting each rival's deficits."""
-    own = score_exact(triple, state_cap=state_cap).score
-    return own > 0 and any(score_decision(rival, own - 1, state_cap=state_cap) for rival in rivals)
+    own = score_exact(triple).score
+    return own > 0 and any(score_decision(rival, own - 1) for rival in rivals)
 
 
-def is_winner(triple: DodgsonTriple, *, state_cap: int = DEFAULT_STATE_CAP) -> bool:
+def is_winner(triple: DodgsonTriple) -> bool:
     """Does the designated candidate tie-or-defeat every other candidate?"""
     election = triple.election
     rivals = (DodgsonTriple(election, other) for other in election.candidates
               if other != triple.designated)
-    return not _some_rival_below(triple, rivals, state_cap)
+    return not _some_rival_below(triple, rivals)
 
 
-def ranks_at_least(
-    election: Election, c: str, d: str, *, state_cap: int = DEFAULT_STATE_CAP
-) -> bool:
+def ranks_at_least(election: Election, c: str, d: str) -> bool:
     """Does ``c`` tie-or-defeat ``d``, i.e. is Score(c) <= Score(d)?"""
     for name in (c, d):
         if name not in election.candidates:
@@ -739,19 +727,17 @@ def ranks_at_least(
     if c == d:
         return True
     rival = DodgsonTriple(election, d)
-    return not _some_rival_below(DodgsonTriple(election, c), [rival], state_cap)
+    return not _some_rival_below(DodgsonTriple(election, c), [rival])
 
 
-def two_election_ranking(
-    left: DodgsonTriple, right: DodgsonTriple, *, state_cap: int = DEFAULT_STATE_CAP
-) -> bool:
+def two_election_ranking(left: DodgsonTriple, right: DodgsonTriple) -> bool:
     """Is Score(left) <= Score(right)?
 
     Both elections must have an odd number of voters and the designated
     candidates must differ; anything else is not a valid instance.
     """
     TwoERInstance(left, right)  # validates the pair
-    return not _some_rival_below(left, [right], state_cap)
+    return not _some_rival_below(left, [right])
 
 
 def apply_raises(triple: DodgsonTriple, raises: Sequence[int]) -> Election:

@@ -43,7 +43,6 @@ from .matching import (
     serialize_matching,
 )
 from .scoring import (
-    DEFAULT_STATE_CAP,
     is_winner,
     ranks_at_least,
     score_decision,
@@ -70,7 +69,6 @@ SUITE_NAMES = ("3", "4", "6", "wagner", "theorems")
 class RunConfig:
     seed: int = 0
     trials: int = 25
-    state_cap: int = DEFAULT_STATE_CAP
 
 
 @dataclass
@@ -154,9 +152,9 @@ def _triple_fixtures(prefix: str, *triples: DodgsonTriple) -> dict[str, str]:
 # --- suite "3": matching reduction score gap ---------------------------------
 
 
-def _check_gap(instance: MatchingInstance, state_cap: int) -> tuple[bool, str]:
+def _check_gap(instance: MatchingInstance) -> tuple[bool, str]:
     reduced = reduce_3dm(instance)
-    gap = score_exact(reduced.triple, state_cap=state_cap).score - reduced.threshold
+    gap = score_exact(reduced.triple).score - reduced.threshold
     expected = 0 if has_matching(instance) else 1
     ok = gap == expected
     detail = "" if ok else f"score gap {gap}, expected {expected}"
@@ -171,7 +169,7 @@ def verify_reduction_gap(config: RunConfig) -> list[PropertyCheck]:
         q3.append(random_matching(rng, 3, rng.randint(2, 12)))
 
     def gap(instance):
-        ok, detail = _check_gap(instance, config.state_cap)
+        ok, detail = _check_gap(instance)
         return None if ok else (detail, {"counterexample.3dm": serialize_matching(instance)})
 
     return (_first_failures(q2, [("score-gap-exhaustive-q2", gap)])
@@ -200,8 +198,8 @@ def verify_sum_additivity(config: RunConfig) -> list[PropertyCheck]:
 
     def additivity(case):
         parts, total, _ = case
-        want = sum(score_exact(p, state_cap=config.state_cap).score for p in parts)
-        got = score_exact(total, state_cap=config.state_cap).score
+        want = sum(score_exact(p).score for p in parts)
+        got = score_exact(total).score
         if got == want:
             return None
         return (f"sum score {got}, expected {want}",
@@ -218,12 +216,10 @@ def verify_sum_additivity(config: RunConfig) -> list[PropertyCheck]:
 
 
 def verify_merge_laws(config: RunConfig) -> list[PropertyCheck]:
-    cap = config.state_cap
-
     def merges():
         for t1, t2 in merge_corpus(config):
             instance, _ = build_merge(t1, t2)
-            merged = [score_exact(DodgsonTriple(instance.election, name), state_cap=cap).score
+            merged = [score_exact(DodgsonTriple(instance.election, name)).score
                       for name in (instance.first, instance.second)]
             yield t1, t2, instance, merged
 
@@ -236,7 +232,7 @@ def verify_merge_laws(config: RunConfig) -> list[PropertyCheck]:
 
     def plus_one(case):
         t1, t2, _, merged = case
-        expected = [score_exact(t, state_cap=cap).score + 1 for t in (t1, t2)]
+        expected = [score_exact(t).score + 1 for t in (t1, t2)]
         if merged == expected:
             return None
         return (
@@ -250,7 +246,7 @@ def verify_merge_laws(config: RunConfig) -> list[PropertyCheck]:
         for other in instance.election.candidates:
             if other in (instance.first, instance.second):
                 continue
-            if score_decision(DodgsonTriple(instance.election, other), merged[0], state_cap=cap):
+            if score_decision(DodgsonTriple(instance.election, other), merged[0]):
                 return (f"{other!r} scores at most {merged[0]}",
                         _triple_fixtures("counterexample-input", t1, t2))
         return None
@@ -270,7 +266,7 @@ def verify_parity_combiner(config: RunConfig) -> list[PropertyCheck]:
         # member-first input list: yes-instances, then no
         combo = [CANONICAL_YES] * yes_count + [CANONICAL_NO] * (2 * k - yes_count)
         instance = parity_combine(combo)
-        answered = two_election_ranking(instance.left, instance.right, state_cap=config.state_cap)
+        answered = two_election_ranking(instance.left, instance.right)
         expected = yes_count % 2 == 1
         if answered == expected:
             return None
@@ -284,17 +280,15 @@ def verify_parity_combiner(config: RunConfig) -> list[PropertyCheck]:
 
 
 def verify_end_to_end(config: RunConfig) -> list[PropertyCheck]:
-    cap = config.state_cap
-
     def pairs():
         for t1, t2 in merge_corpus(config):
-            yield TwoERInstance(t1, t2), two_election_ranking(t1, t2, state_cap=cap)
+            yield TwoERInstance(t1, t2), two_election_ranking(t1, t2)
 
     def ranking(case):
         pair, member = case
         ranked = reduce_2er_to_ranking(pair)
         if not isinstance(ranked, Sentinel) and ranks_at_least(
-            ranked.election, ranked.first, ranked.second, state_cap=cap
+            ranked.election, ranked.first, ranked.second
         ) == member:
             return None
         return (f"ranking membership mismatch (expected {member})",
@@ -303,7 +297,7 @@ def verify_end_to_end(config: RunConfig) -> list[PropertyCheck]:
     def winner(case):
         pair, member = case
         won = reduce_2er_to_winner(pair)
-        if not isinstance(won, Sentinel) and is_winner(won, state_cap=cap) == member:
+        if not isinstance(won, Sentinel) and is_winner(won) == member:
             return None
         return (f"winner membership mismatch (expected {member})",
                 _triple_fixtures("counterexample-input", pair.left, pair.right))

@@ -4,7 +4,6 @@ import pytest
 
 from dodgson import parse_election, score_exact, DodgsonTriple, merge, serialize_election
 from dodgson.cli import main
-from dodgson.scoring import DEFAULT_STATE_CAP
 
 from conftest import time_limit
 
@@ -58,15 +57,18 @@ def test_score_negative_budget_exits_two(files, capsys):
     ["verify", "4", "--trials", "1"],
 ])
 def test_negative_state_cap_exits_two(argv, files, capsys):
+    # the memo cap is no flag: argparse rejects it before anything runs
     names = {name.split(".")[0]: path for name, path in files.items()}
-    assert main([arg.format(**names) for arg in argv] + ["--state-cap", "-5"]) == 2
+    with pytest.raises(SystemExit) as exit_info:
+        main([arg.format(**names) for arg in argv] + ["--state-cap", "-5"])
+    assert exit_info.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: state_cap must be non-negative, got -5\n"
+    assert "unrecognized arguments: --state-cap -5" in captured.err
 
 
 def test_score_at_most_on_many_voters(tmp_path, capsys):
-    # 3,001 voters: one search layer per voter
+    # 3,001 voters in two groups: the search's layers follow groups, not voters
     path = tmp_path / "two.dodg"
     path.write_text("candidates: a b\n2001: b<a\n1000: a<b\n")
     with time_limit(10):
@@ -234,7 +236,7 @@ def test_verify_failure_writes_fixtures_and_exits_three(tmp_path, capsys, monkey
     import dodgson.verify as verify_module
 
     monkeypatch.setattr(
-        verify_module, "_check_gap", lambda instance, cap: (False, "forced failure")
+        verify_module, "_check_gap", lambda instance: (False, "forced failure")
     )
     code = main(["verify", "3", "--trials", "1", "-o", str(tmp_path / "cex")])
     assert code == 3
@@ -276,7 +278,7 @@ def test_verify_json_stability(files, capsys):
     assert capsys.readouterr().out == first
     payload = json.loads(first)
     assert payload["passed"] is True
-    assert payload["config"] == {"seed": 11, "trials": 3, "state_cap": DEFAULT_STATE_CAP}
+    assert payload["config"] == {"seed": 11, "trials": 3}
     assert [r["name"] for r in payload["results"]] == [
         "score-gap-exhaustive-q2", "score-gap-random-q3",
     ]
@@ -301,12 +303,13 @@ QUERIES = {
     "2er": ["2er", "e.dodg:a", "f.dodg:b"],
     "oracle": ["oracle", "e.dodg", "-c", "a"],
     "reduce": ["reduce", "3dm", "m.3dm", "-o", "out"],
+    "verify": ["verify", "4", "--trials", "1"],
 }
 INERT_FLAGS = [
     (command, flag)
     for command in ("score", "winner", "ranking", "2er", "reduce")
     for flag in ("--seed", "--trials", "--oracle-cap")
-] + [("oracle", "--state-cap"), ("reduce", "--state-cap")]
+] + [(command, "--state-cap") for command in QUERIES]
 
 
 @pytest.mark.parametrize("command, flag", INERT_FLAGS)

@@ -67,19 +67,6 @@ def test_single_candidate_election():
 # --- decisions ----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("solve", [
-    lambda t, cap: score_exact(t, state_cap=cap),
-    lambda t, cap: score_decision(t, 5, state_cap=cap),
-    lambda t, cap: is_winner(t, state_cap=cap),
-])
-def test_negative_state_cap_is_rejected(unanimous, solve):
-    # checked before any early return, on a Condorcet winner too; 0 means no memo
-    for t in (triple(unanimous, "c"), unit_chain(3)):
-        with pytest.raises(ValueError, match="state_cap must be non-negative, got -1"):
-            solve(t, -1)
-        solve(t, 0)
-
-
 def test_decision_budgets(unanimous, cycle):
     assert score_decision(triple(unanimous, "c"), 0) is True
     assert score_decision(unit_chain(5), 4) is False
@@ -191,10 +178,9 @@ def _grouped_profiles() -> list[Election]:
     return elections
 
 
-def test_memo_cap_does_not_change_answers():
-    # state_cap=1 lets the search remember a single failed state; the memo
-    # only prunes, so scores and lexicographically least witnesses must not
-    # depend on its size
+def test_memo_cap_does_not_change_answers(monkeypatch):
+    # the memo only prunes, so scores, lexicographically least witnesses and
+    # decisions must not depend on its size: 0 turns it off, 1 keeps one state
     from dodgson.verify import random_election, trial_rng
 
     elections = _grouped_profiles()
@@ -202,10 +188,21 @@ def test_memo_cap_does_not_change_answers():
         rng = trial_rng(99, "dp-vs-bnb", i)
         size = rng.randint(2, 4)
         elections.append(random_election(rng, tuple("abcd"[:size]), rng.choice([1, 3, 5])))
-    for e in elections:
-        for name in e.candidates:
-            t = triple(e, name)
-            assert score_exact(t) == score_exact(t, state_cap=1)
+    # 6-7 candidates and 9 voters: searches that store memo entries and reuse them
+    for i in range(20):
+        rng = trial_rng(99, "memo", i)
+        elections.append(random_election(rng, tuple("abcdefg"[:rng.randint(6, 7)]), 9))
+    cases = [triple(e, name) for e in elections for name in e.candidates]
+
+    def answers(t):
+        result = score_exact(t)
+        budgets = [b for b in (result.score, result.score - 1) if b >= 0]
+        return result, [score_decision(t, b) for b in budgets]
+
+    want = [answers(t) for t in cases]
+    for cap in (0, 1):
+        monkeypatch.setattr(scoring, "_MEMO_CAP", cap)
+        assert [answers(t) for t in cases] == want, cap
 
 
 def _brute_force_score_and_witness(t: DodgsonTriple) -> tuple[int, tuple[int, ...]]:
@@ -275,9 +272,9 @@ def test_rivals_refuted_by_their_deficit_sum_build_nothing(monkeypatch):
         return problem
 
     class CountedSearch(search):
-        def __init__(self, problem, state_cap):
+        def __init__(self, problem):
             searched.append(problem)
-            super().__init__(problem, state_cap)
+            super().__init__(problem)
 
     monkeypatch.setattr(scoring, "_cover_problem", counted)
     monkeypatch.setattr(scoring, "_CoverSearch", CountedSearch)
@@ -461,7 +458,7 @@ def _special(item: str, name: str) -> DodgsonTriple:
 
 
 @pytest.mark.parametrize("item, name, score", _SPECIALS)
-def test_3dm_specials_score_within_time(item, name, score):
+def test_3dm_specials_score_within_time(monkeypatch, item, name, score):
     # Every cover at the score passes each opponent exactly its deficit with
     # no wasted switch, and the lexicographic search meets such a cover late
     # (3dm-8 s took 157 s before the zero-slack check).  References from the
@@ -476,8 +473,9 @@ def test_3dm_specials_score_within_time(item, name, score):
         assert result.witness == (0, 6, 0, 6, 0, 6, 0, 6, 0, 6, 0, 6, 0, 0, 0, 0, 0,
                                   11, 11, 11, 11, 11, 11)
     # with the memo holding one state the exact-fit check still closes frames
+    monkeypatch.setattr(scoring, "_MEMO_CAP", 1)
     with time_limit(10):
-        assert score_exact(t, state_cap=1) == result
+        assert score_exact(t) == result
 
 
 @pytest.mark.parametrize("item, name", [(item, name) for item, name, _ in _SPECIALS])
@@ -559,7 +557,7 @@ def test_exact_fit_matches_brute_force():
             problem = _cover_problem(triple(e, name), deficit_vector(triple(e, name)))
             if not problem.coords:
                 continue
-            search = _CoverSearch(problem, 10)
+            search = _CoverSearch(problem)
             for layer, avail, state in _states_after_two_layers(search):
                 want = _exact_fit_by_brute_force(search, layer, avail, state)
                 assert search.exact_fit(layer, avail, state) == want, (i, name, layer, state)
@@ -713,7 +711,7 @@ def test_lp_rung_keeps_the_witness(monkeypatch, name):
     assert score_exact(t) == jumped
 
 
-def test_ladder_climbs_past_a_loose_lp_bound():
+def test_ladder_climbs_past_a_loose_lp_bound(monkeypatch):
     # 3dm-13's `c`: the LP bound (9) is one below the score (10), so the
     # ladder may not stop at it.  Reference from the Bartholdi-Tovey-Trick
     # integer program.
@@ -724,7 +722,8 @@ def test_ladder_climbs_past_a_loose_lp_bound():
     result = score_exact(t)
     assert result.score == 10 == sum(result.witness)
     assert condorcet_winner(apply_raises(t, result.witness)) == "c"
-    assert score_exact(t, state_cap=1) == result
+    monkeypatch.setattr(scoring, "_MEMO_CAP", 1)
+    assert score_exact(t) == result
 
 
 def test_lp_on_hundreds_of_groups_is_quick():

@@ -84,7 +84,7 @@ def _always(value):
 # fixture names, and the checks every property of the suite reports
 FORCED_FAILURES = {
     "3": ("3", "_check_gap",
-          lambda _: lambda instance, cap: (instance.q == 3, "forced failure"),
+          lambda _: lambda instance: (instance.q == 3, "forced failure"),
           "score-gap-exhaustive-q2", {"counterexample.3dm"},
           {"score-gap-exhaustive-q2": 1, "score-gap-random-q3": 2}),
     "4-shape": ("4", "build_sum", _wrong_separators,
