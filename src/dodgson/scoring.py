@@ -16,8 +16,8 @@ Two independent routes to the same quantity:
   LP bound of the program's relaxation, and the first budget that admits a
   cover is the score and gives the witness.  Where the budget left equals
   the residual deficit sum, only covers that pass each opponent exactly its
-  residual with no wasted switch remain; one exact-fit check decides whether
-  such a cover exists and closes the frames that hold none.
+  residual with no wasted switch remain; an exact-fit check closes the frames
+  that hold none, and the search follows the least cover it finds.
 * :func:`score_oracle` — breadth-first search over whole profiles using the
   literal one-adjacent-exchange-anywhere edge relation.  This is the ground
   truth the raise-only model is validated against, at small scale.
@@ -128,12 +128,13 @@ class _CoverSearch:
     A frame whose budget left equals its residual sum has zero slack: every
     cover below it is free of waste and passes each opponent exactly its
     residual, an exact multicover.  Once a child of such a frame fails and
-    options are left, :meth:`exact_fit` decides once per frame, on a layout
-    built for that call, whether that cover exists: if so, the frame notes
-    it; if not, it closes with least bound left + 1, which the memo records.
-    Only frames with no cover within budget close and the options keep their
-    order, so scores and witnesses are those of the plain search; a search
-    that meets its cover without backtracking never checks.
+    options are left, :meth:`least_fit` closes the frame with least bound
+    left + 1, which the memo records, if :meth:`exact_fit` finds no such
+    cover; otherwise the frame keeps only its least option with one, and its
+    children follow that cover down without backtracking.  Only options with
+    no cover within budget go and the options keep their order, so scores
+    and witnesses are those of the plain search; a search that meets its
+    cover without backtracking never checks.
     """
 
     def __init__(self, problem: _CoverProblem):
@@ -260,30 +261,36 @@ class _CoverSearch:
             k += 1
         return coords[j - 1:k - 1]
 
-    def exact_fit(self, layer: int, avail: int, state: tuple[int, ...]) -> bool:
-        """Can the copies from ``layer`` on pass each opponent x exactly
-        ``state[x]`` times at one switch per pass?  Not cached: the frame keeps it.
+    def exact_fit(self, layer: int, avail: int, state: tuple[int, ...],
+                  low: int = 0, high: float = inf) -> dict[int, int] | None:
+        """Copies from ``layer`` on passing each opponent x exactly ``state[x]``
+        times at one switch per pass, with the option at ``layer`` in [``low``,
+        ``high``], as ``{layer: copies reaching its level}`` (non-zero counts
+        only), or None.  Not cached: the frame follows it.
 
         A variable counts the copies of a run that reach one of its waste-free
         levels; the runs, laid out on each call, are this layer's ``avail``
         copies from the level below it and each later group from level 0.
         Counts do not increase along a run and each opponent's sum to its
-        residual.  Bounds propagate to a fixpoint, then one count of the
-        opponent with the fewest free counts is split in two, as Algorithm X
-        branches on its most constrained column; only an opponent's bound sums
-        leaving its residual refute a node.
+        residual.  The option is the run's first count, or with one copy its
+        final level: the count at level ``low`` is 1 and at ``high`` + 1 is 0.
+        Bounds propagate to a fixpoint, then one count of the opponent with
+        the fewest free counts is split in two, as Algorithm X branches on its
+        most constrained column; only an opponent's bound sums leaving its
+        residual refute a node.
         """
         g, j = self.layers[layer]
-        later = zip(self.problem.groups[g + 1:], self.waste_free[g + 1:])
-        runs = [(avail, self.run_from(g, j))] + [(grp.mult, xs) for grp, xs in later]
-        # counts in run order: each one's opponent, whether it starts a run (with
-        # an end marker) and its upper bound, the run's copies or the count before
+        runs = [((layer, avail), self.run_from(g, j))]
+        runs += zip(self.entry[g + 1:], self.waste_free[g + 1:])
+        # counts in run order: each one's layer, opponent, whether it starts a run
+        # (with an end marker) and upper bound, the run's copies or the count before
         # cut by the residual; of[x]: opponent x's counts, shi[x]: their bounds' sum
-        opp, head, hi, shi = [], [], [], [0] * len(state)
+        where, opp, head, hi, shi = [], [], [], [], [0] * len(state)
         of: list[list[int]] = [[] for _ in state]
-        for top, xs in runs:
+        for (first, top), xs in runs:
             for i, x in enumerate(xs):
                 of[x].append(len(opp))
+                where.append(first + i)
                 opp.append(x)
                 head.append(i == 0)
                 if state[x] < top:
@@ -335,7 +342,18 @@ class _CoverSearch:
                         tighten(node, v, a, b, dirty)
             return True
 
-        todo = [([0] * len(opp), hi, [0] * len(state), shi, set(range(len(state))))]
+        # the option's limits (count, least, most), checked so that no range empties
+        n = len(runs[0][1])
+        limits = ([(0, low, high)] if avail > 1 else
+                  [(max(low - j, 0), int(low >= j), 1), (high + 1 - j, 0, 0)])
+        node = [[0] * len(opp), hi, [0] * len(state), shi]
+        dirty = set(range(len(state)))
+        for v, least, most in limits:
+            if least > (hi[v] if v < n else 0):
+                return None
+            if v < n:
+                tighten(node, v, least, most, dirty)
+        todo = [(*node, dirty)]
         while todo:
             *node, dirty = todo.pop()
             if not settle(node, dirty):
@@ -344,20 +362,20 @@ class _CoverSearch:
             free = min((f for vs in of if (f := [v for v in vs if lo[v] < hi[v]])),
                        key=len, default=None)
             if free is None:
-                return True
+                return {where[v]: count for v, count in enumerate(lo) if count}
             v = free[-1]
             mid = (lo[v] + hi[v]) // 2
             for half, low, high in (([p[:] for p in node], mid + 1, hi[v]), (node, lo[v], mid)):
                 dirty = set()
                 tighten(half, v, low, high, dirty)
                 todo.append((*half, dirty))
-        return False
+        return None
 
     def frame(self, layer: int, avail: int, state: tuple[int, ...], rsum: int, left: int) -> list:
         """A new frame: [layer, copies available, residual, its sum, budget
         left, next option, last option, least lower bound over the options
-        tried so far, cost of the option being tried, whether an exact cover
-        is known to exist below it].
+        tried so far, cost of the option being tried, the exact cover it
+        follows or None].
 
         With one copy left an option is that copy's final level, from j-1
         up.  Otherwise it is the count going on to level j: at least what the
@@ -370,16 +388,54 @@ class _CoverSearch:
         grp = self.problem.groups[g]
         if avail == 1:
             # without single-copy frames the gadget pool took 57 s, not 29 s
-            return [layer, 1, state, rsum, left, j - 1, len(grp.coords), inf, 0, False]
+            return [layer, 1, state, rsum, left, j - 1, len(grp.coords), inf, 0, None]
         tail = grp.coords[j - 1:]
         # without this lower count the crowd pool took 2.7 s, not 1 s
         lo = max(0, max(state[x] - self.supply_after(g, x) for x in tail))
         hi = min(avail, max(state[x] for x in tail))
-        return [layer, avail, state, rsum, left, lo, hi, inf, 0, False]
+        return [layer, avail, state, rsum, left, lo, hi, inf, 0, None]
+
+    def option(self, frame: list, cover: dict[int, int]) -> int:
+        """``frame``'s option in ``cover``: its count, or one copy's final level."""
+        layer = frame[0]
+        if frame[1] > 1:
+            return cover.get(layer, 0)
+        g, j = self.layers[layer]
+        return j - 1 + sum(k in cover for k in range(layer, self.entry[g + 1][0]))
+
+    def least_fit(self, frame: list, cover: dict[int, int] | None = None) -> None:
+        """Narrow zero-slack ``frame`` to its least option from the next with
+        an exact cover below, and follow that cover; close it if there is none.
+
+        A cover with option o is given or found over all the options left.
+        Whether one has its option in [next, m] only turns true as m grows, so
+        after a check of [next, o - 1] a bisection finds the least: a hit
+        lowers o to its cover's option, a miss moves next past m.
+        """
+        layer, avail, state, _, left, low, hi = frame[:7]
+        if cover is None:
+            cover = self.exact_fit(layer, avail, state, low, hi)
+            if cover is None:
+                frame[5], frame[7] = hi + 1, left + 1  # no exact cover, so nothing within budget
+                return
+        o = self.option(frame, cover)
+        # most least options are o, so [low, o - 1] is checked whole first: bisecting
+        # from the start took 2,811 gadget-pool checks, not 1,474; only whole checks
+        # took 130 on crowd-14 `b`, not 11
+        m = o - 1
+        while low <= m:
+            found = self.exact_fit(layer, avail, state, low, m)
+            if found is None:
+                low = m + 1
+            else:
+                cover, o = found, self.option(frame, found)
+            m = (low + o - 1) // 2
+        frame[5], frame[6], frame[9] = o, o, cover
 
     def cover(self, budget: int) -> list[list] | None:
         """First cover of cost <= ``budget`` as the stack of frames that chose
-        it, each frame's option at index 5 less one, or None.
+        it, each frame's option at index 5 less one, or None.  A frame that
+        follows an exact cover tries only an option with one, and never fails.
 
         A failure leaves the root's proven bound in the memo (within ``_MEMO_CAP``).
         """
@@ -436,6 +492,10 @@ class _CoverSearch:
                 need = lower(nlayer, navail, nstate, left - ocost)
                 if need <= left - ocost:
                     child = self.frame(nlayer, navail, nstate, nrsum, left - ocost)
+                    if frame[9] is not None:
+                        # the child narrows this cover; left to find their own, children
+                        # took 2,001 gadget-pool checks, not 1,474 (3dm-8 `s` 42, not 27)
+                        self.least_fit(child, frame[9])
                     break
                 if ocost + need < best:
                     best = ocost + need
@@ -450,13 +510,11 @@ class _CoverSearch:
             if stack:
                 parent = stack[-1]
                 parent[7] = min(parent[7], parent[8] + best)
-                zero_slack, options_left = parent[3] == parent[4], parent[5] <= parent[6]
-                # checked here, not as a bound in `lower`: that gave 20 crowd timeouts
-                if zero_slack and options_left and not parent[9]:
-                    parent[9] = self.exact_fit(*parent[:3])
-                    if not parent[9]:
-                        # no exact cover, so nothing within budget
-                        parent[5], parent[7] = parent[6] + 1, parent[4] + 1
+                # checked here, not as a bound in `lower` (20 crowd timeouts) nor on each
+                # new zero-slack frame (sum-8's ops 0.2-1.0 -> 1.1-6.4 ms, 8 crowd ops
+                # over 5 s); a frame following a cover never gets here
+                if parent[3] == parent[4] and parent[5] <= parent[6]:
+                    self.least_fit(parent)
         return None
 
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import inf
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from dodgson import (
     deficit_vector,
     is_winner,
     merge,
+    merge_prime,
     parse_election,
     parse_matching,
     ranks_at_least,
@@ -478,26 +480,39 @@ def test_3dm_specials_score_within_time(monkeypatch, item, name, score):
         assert score_exact(t) == result
 
 
-@pytest.mark.parametrize("item, name", [(item, name) for item, name, _ in _SPECIALS])
-def test_exact_fit_runs_once_per_key(monkeypatch, item, name):
-    # A frame keeps its check's answer and the memo records a refuted key,
-    # so no (search, layer, copies, residual) is checked twice.
+def _counting_exact_fit(monkeypatch) -> list:
+    """Record the key of every exact-fit check: (search, layer, copies,
+    residual, least option, most option)."""
     calls = []
     check = _CoverSearch.exact_fit
 
-    def counted(search, layer, avail, state):
-        calls.append((id(search), layer, avail, state))
-        return check(search, layer, avail, state)
+    def counted(search, layer, avail, state, low=0, high=inf):
+        calls.append((id(search), layer, avail, state, low, high))
+        return check(search, layer, avail, state, low, high)
 
     monkeypatch.setattr(_CoverSearch, "exact_fit", counted)
+    return calls
+
+
+@pytest.mark.parametrize("item, name", [(item, name) for item, name, _ in _SPECIALS])
+def test_exact_fit_runs_once_per_key(monkeypatch, item, name):
+    # A frame follows the cover its check found and the memo records a
+    # refuted key, so no (search, layer, copies, residual, option range) is
+    # checked twice.
+    calls = _counting_exact_fit(monkeypatch)
     score_exact(_special(item, name))
     assert calls and len(calls) == len(set(calls))
+    if (item, name) == ("3dm-8", "s"):
+        # 180 checks before frames followed the covers found; now 27
+        assert len(calls) < 60, len(calls)
 
 
-def _exact_fit_by_brute_force(search, layer, avail, state) -> bool:
+def _exact_fit_by_brute_force(search, layer, avail, state, low=0, high=inf) -> bool:
     """Does some waste-free allocation of the remaining copies pass every
-    opponent x exactly state[x] times?  Each copy stops at any level it
-    reaches at one switch per level."""
+    opponent x exactly state[x] times, with the option at ``layer`` in [low,
+    high]?  Each copy stops at any level it reaches at one switch per level;
+    the option is how many of this layer's copies rise at all, or with one
+    copy the level it stops at."""
     groups = search.problem.groups
     g, j = search.layers[layer]
     runs = [(groups[g], j - 1, avail)] + [(grp, 0, grp.mult) for grp in groups[g + 1:]]
@@ -508,6 +523,9 @@ def _exact_fit_by_brute_force(search, layer, avail, state) -> bool:
             top += 1
         picks.append(itertools.combinations_with_replacement(range(base, top + 1), copies))
     for pick in itertools.product(*picks):
+        option = pick[0][0] if avail == 1 else sum(top >= j for top in pick[0])
+        if not low <= option <= high:
+            continue
         passes = [0] * len(state)
         for (grp, base, _), tops in zip(runs, pick):
             for top in tops:
@@ -516,6 +534,30 @@ def _exact_fit_by_brute_force(search, layer, avail, state) -> bool:
         if tuple(passes) == state:
             return True
     return False
+
+
+def _replay_exact_cover(search, layer, avail, state, cover) -> int:
+    """Check that ``cover`` ({layer: copies reaching its level}) is an exact
+    multicover from ``layer`` on: counts do not increase along a run, none
+    exceeds its copies, it names only waste-free levels and it passes each
+    opponent exactly its residual.  Returns its option at ``layer``."""
+    groups = search.problem.groups
+    g, j = search.layers[layer]
+    runs = [(layer, avail, search.run_from(g, j))]
+    runs += [(first, grp.mult, search.run_from(h, 1))
+             for h, (grp, (first, _)) in enumerate(zip(groups, search.entry)) if h > g]
+    passes = [0] * len(state)
+    named = set()
+    for first, copies, xs in runs:
+        counts = [cover.get(first + i, 0) for i in range(len(xs))]
+        named.update(range(first, first + len(xs)))
+        assert all(a >= b for a, b in zip([copies] + counts, counts)), (cover, first, copies)
+        for x, count in zip(xs, counts):
+            passes[x] += count
+    assert set(cover) <= named and all(cover.values()), cover
+    assert tuple(passes) == state, (cover, passes, state)
+    first_run = [cover.get(layer + i, 0) for i in range(len(runs[0][2]))]
+    return j - 1 + sum(map(bool, first_run)) if avail == 1 else (first_run or [0])[0]
 
 
 def _states_after_two_layers(search):
@@ -543,8 +585,10 @@ def _states_after_two_layers(search):
 
 def test_exact_fit_matches_brute_force():
     # Seeded grouped profiles with 3-5 candidates and 6 voters in runs of
-    # 1-3 copies, at the root and at interior states.
+    # 1-3 copies, at the root and at interior states, over all options and
+    # over a seeded range of them.  Every cover found is replayed.
     seen = {True: 0, False: 0}
+    seen_in_range = {True: 0, False: 0}
     for i in range(60):
         rng = random.Random(f"exact-fit:{i}")
         names = tuple("abcde"[: rng.randint(3, 5)])
@@ -559,10 +603,47 @@ def test_exact_fit_matches_brute_force():
                 continue
             search = _CoverSearch(problem)
             for layer, avail, state in _states_after_two_layers(search):
-                want = _exact_fit_by_brute_force(search, layer, avail, state)
-                assert search.exact_fit(layer, avail, state) == want, (i, name, layer, state)
-                seen[want] += 1
+                g, j = search.layers[layer]
+                first, last = (j - 1, len(problem.groups[g].coords)) if avail == 1 else (0, avail)
+                low = rng.randint(first, last)
+                high = rng.randint(low, last)
+                for limits, tally in (((), seen), ((low, high), seen_in_range)):
+                    want = _exact_fit_by_brute_force(search, layer, avail, state, *limits)
+                    cover = search.exact_fit(layer, avail, state, *limits)
+                    assert (cover is not None) == want, (i, name, layer, state, limits)
+                    if cover is not None:
+                        option = _replay_exact_cover(search, layer, avail, state, cover)
+                        assert not limits or low <= option <= high, (cover, limits)
+                    tally[want] += 1
     assert min(seen.values()) >= 300, seen
+    assert min(seen_in_range.values()) >= 300, seen_in_range
+
+
+# separators of merge_prime on pair 1 of merge_corpus(seed 3, 4 trials), 78
+# candidates and 10 voters: score, which is the deficit sum, and the witness
+# of the search before it followed exact covers
+_PRIME_SEPARATORS = {
+    "t1": (345, (38, 38, 38, 0, 0, 0, 0, 77, 77, 77)),
+    "t2": (339, (37, 37, 37, 0, 0, 0, 0, 76, 76, 76)),
+    "t5": (321, (34, 34, 34, 0, 0, 0, 0, 73, 73, 73)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PRIME_SEPARATORS))
+def test_zero_slack_separators_follow_the_cover(monkeypatch, name):
+    # Every cover at the score is exact.  Searching again below frames whose
+    # check had found a cover took 1.0-1.2 s and 210-230 checks each; following
+    # the cover takes about 0.06 s and 12 checks.
+    from dodgson.verify import RunConfig, merge_corpus
+
+    t = DodgsonTriple(merge_prime(*merge_corpus(RunConfig(seed=3, trials=4))[1]).election, name)
+    score, witness = _PRIME_SEPARATORS[name]
+    assert sum(deficit_vector(t).values()) == score
+    calls = _counting_exact_fit(monkeypatch)
+    with time_limit(1):
+        result = score_exact(t)
+    assert (result.score, result.witness) == (score, witness)
+    assert len(calls) < 30, len(calls)
 
 
 # --- the Lagrangian bound and the LP rung of the ladder ----------------------------
