@@ -48,21 +48,17 @@ EXIT_VIOLATION = 3
 EXIT_UNKNOWN = 4
 
 
-class _Input(ValueError):
-    """Wraps anything that should surface as exit code 2."""
-
-
 def _load_election(path: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise _Input(f"cannot read {path}: {exc}") from None
+        raise ValueError(f"cannot read {path}: {exc}") from None
     return parse_election(text)
 
 
 def _require_candidate(election, name: str, path: str):
     if name not in election.candidates:
-        raise _Input(f"unknown candidate {name!r} in {path}")
+        raise ValueError(f"unknown candidate {name!r} in {path}")
 
 
 def _load_designated(path: str, name: str) -> DodgsonTriple:
@@ -74,7 +70,7 @@ def _load_designated(path: str, name: str) -> DodgsonTriple:
 def _load_triple(ref: str) -> DodgsonTriple:
     path, sep, candidate = ref.rpartition(":")
     if not sep or not path:
-        raise _Input(f"expected 'file:candidate', got {ref!r}")
+        raise ValueError(f"expected 'file:candidate', got {ref!r}")
     return _load_designated(path, candidate)
 
 
@@ -227,7 +223,7 @@ def _size(election: Election) -> str:
 
 def _reduce_3dm(kind: str, inputs: list[str]):
     if len(inputs) != 1:
-        raise _Input("reduce 3dm takes exactly one .3dm file")
+        raise ValueError("reduce 3dm takes exactly one .3dm file")
     reduced, info = build_reduction(_read_matching(inputs[0]))
     election, designated = reduced.triple.election, reduced.triple.designated
     extra = _shape(election, threshold=reduced.threshold, designated=designated)
@@ -245,10 +241,10 @@ def _reduce_sum(kind: str, inputs: list[str]):
 def _reduce_merge(kind: str, inputs: list[str]):
     """merge, merge-prime, and the totalized 2er-to-ranking/2er-to-winner."""
     if len(inputs) != 2:
-        raise _Input(f"reduce {kind} takes exactly two file:candidate inputs")
+        raise ValueError(f"reduce {kind} takes exactly two file:candidate inputs")
     try:
         pair = TwoERInstance(*map(_load_triple, inputs))
-    except ValueError:  # _Input too: the 2er kinds map invalid pairs to the sentinel
+    except ValueError:  # the 2er kinds map invalid pairs to the sentinel
         if kind.startswith("merge"):
             raise
         return ({}, {"kind": kind, "sentinel": True}, {"sentinel": True},
@@ -310,7 +306,7 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_verify(args) -> int:
     if args.trials < 1:
-        raise _Input("--trials must be at least 1")
+        raise ValueError("--trials must be at least 1")
     config = RunConfig(seed=args.seed, trials=args.trials)
     results = run_suite(args.suite, config)
     lines = []

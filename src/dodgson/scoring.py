@@ -128,21 +128,21 @@ class _CoverSearch:
     A frame whose budget left equals its residual sum has zero slack: every
     cover below it is free of waste and passes each opponent exactly its
     residual, an exact multicover.  Once a child of such a frame fails and
-    options are left, :meth:`least_fit` closes the frame with least bound
-    left + 1, which the memo records, if :meth:`exact_fit` finds no such
-    cover; otherwise the frame keeps only its least option with one, and its
-    children follow that cover down without backtracking.  Only options with
-    no cover within budget go and the options keep their order, so scores
-    and witnesses are those of the plain search; a search that meets its
-    cover without backtracking never checks.
+    options are left, :meth:`least_fit` closes the frame, which then fails,
+    if :meth:`exact_fit` finds no such cover; otherwise the frame keeps only
+    its least option with one, and its children follow that cover down
+    without backtracking.  Only options with no cover within budget go and
+    the options keep their order, so scores and witnesses are those of the
+    plain search; a search that meets its cover without backtracking never
+    checks.  A frame that fails leaves its budget left in the memo.
     """
 
     def __init__(self, problem: _CoverProblem):
         self.problem = problem
         groups = problem.groups
-        # (layer, copies available, residual) -> largest budget proven too
-        # small from there; the only record ``_MEMO_CAP`` caps.
-        self.failed: dict[tuple[int, int, tuple[int, ...]], float] = {}
+        # (layer, copies available, residual) -> the budget left at which a
+        # frame there found no cover; the only record ``_MEMO_CAP`` caps.
+        self.failed: dict[tuple[int, int, tuple[int, ...]], int] = {}
         # own[L][x]: (cost of passing opponent x above the level below layer
         # L, whether that raise is free of waste), or None; built when first needed.
         self.own: dict[int, list[tuple[int, bool] | None]] = {}
@@ -175,7 +175,8 @@ class _CoverSearch:
         """Admissible lower bound on covering ``state`` from ``layer`` on:
         ``avail`` copies of its group priced by :meth:`own_table`, later groups' by the buckets.
 
-        The memo's proven bound, else the largest of:
+        One more than the memo's failed budget where that is at least
+        ``left``, else the largest of:
 
         * the residual deficit sum r (one switch passes one opponent);
         * the efficient-supply bound: per opponent x with residual r_x, r
@@ -213,7 +214,7 @@ class _CoverSearch:
                 continue
             mine = own[x]
             if need > slack:
-                # efficient supply; without it the crowd pool took 23 s, not 1 s
+                # efficient supply; without it the crowd pool took 2.4 s, not 0.7 s
                 where, cum = self.free[x]
                 free = cum[-1] - cum[bisect_right(where, g)] + (avail if mine and mine[1] else 0)
                 if rsum + need - free > best:
@@ -319,7 +320,8 @@ class _CoverSearch:
                 if head[u]:
                     break
             u = v
-            # the backward walk; without it the gadget pool took 46 s, not 29 s
+            # the backward walk; without it the gadget pool took 12 s, not 5 s, and the
+            # crowd pool 12.6 s, not 0.7 s, with 4 ops past 3 s
             while lo[u] < low:
                 x = opp[u]
                 slo[x] += low - lo[u]
@@ -373,9 +375,7 @@ class _CoverSearch:
 
     def frame(self, layer: int, avail: int, state: tuple[int, ...], rsum: int, left: int) -> list:
         """A new frame: [layer, copies available, residual, its sum, budget
-        left, next option, last option, least lower bound over the options
-        tried so far, cost of the option being tried, the exact cover it
-        follows or None].
+        left, next option, last option, the exact cover it follows or None].
 
         With one copy left an option is that copy's final level, from j-1
         up.  Otherwise it is the count going on to level j: at least what the
@@ -387,13 +387,13 @@ class _CoverSearch:
         g, j = self.layers[layer]
         grp = self.problem.groups[g]
         if avail == 1:
-            # without single-copy frames the gadget pool took 57 s, not 29 s
-            return [layer, 1, state, rsum, left, j - 1, len(grp.coords), inf, 0, None]
+            # without single-copy frames the gadget pool took 12 s, not 5 s
+            return [layer, 1, state, rsum, left, j - 1, len(grp.coords), None]
         tail = grp.coords[j - 1:]
-        # without this lower count the crowd pool took 2.7 s, not 1 s
+        # without this lower count the crowd pool took 1.7 s, not 0.7 s
         lo = max(0, max(state[x] - self.supply_after(g, x) for x in tail))
         hi = min(avail, max(state[x] for x in tail))
-        return [layer, avail, state, rsum, left, lo, hi, inf, 0, None]
+        return [layer, avail, state, rsum, left, lo, hi, None]
 
     def option(self, frame: list, cover: dict[int, int]) -> int:
         """``frame``'s option in ``cover``: its count, or one copy's final level."""
@@ -412,11 +412,11 @@ class _CoverSearch:
         after a check of [next, o - 1] a bisection finds the least: a hit
         lowers o to its cover's option, a miss moves next past m.
         """
-        layer, avail, state, _, left, low, hi = frame[:7]
+        layer, avail, state, _, _, low, hi = frame[:7]
         if cover is None:
             cover = self.exact_fit(layer, avail, state, low, hi)
             if cover is None:
-                frame[5], frame[7] = hi + 1, left + 1  # no exact cover, so nothing within budget
+                frame[5] = hi + 1  # no exact cover, so nothing within budget
                 return
         o = self.option(frame, cover)
         # most least options are o, so [low, o - 1] is checked whole first: bisecting
@@ -430,14 +430,15 @@ class _CoverSearch:
             else:
                 cover, o = found, self.option(frame, found)
             m = (low + o - 1) // 2
-        frame[5], frame[6], frame[9] = o, o, cover
+        frame[5], frame[6], frame[7] = o, o, cover
 
     def cover(self, budget: int) -> list[list] | None:
         """First cover of cost <= ``budget`` as the stack of frames that chose
         it, each frame's option at index 5 less one, or None.  A frame that
         follows an exact cover tries only an option with one, and never fails.
 
-        A failure leaves the root's proven bound in the memo (within ``_MEMO_CAP``).
+        A failure leaves the budget in the memo under the root's key (within
+        ``_MEMO_CAP``).
         """
         groups, layers, entry, lower = self.problem.groups, self.layers, self.entry, self.lower
         start = self.problem.start
@@ -447,7 +448,7 @@ class _CoverSearch:
         stack = [self.frame(layer, avail, start, sum(start), budget)]
         while stack:
             frame = stack[-1]
-            layer, avail, state, rsum, left, k, hi, best, _, _ = frame
+            layer, avail, state, rsum, left, k, hi, _ = frame
             g, j = layers[layer]
             _, _, costs, coords = groups[g]
             paid = costs[j - 1]
@@ -458,8 +459,7 @@ class _CoverSearch:
                 if avail == 1:
                     ocost = costs[option] - paid
                     if ocost > left:
-                        best = min(best, ocost)  # later options cost even more
-                        k = hi + 1
+                        k = hi + 1  # later options cost even more
                         break
                     if option >= j and not state[coords[option - 1]]:
                         continue  # its top pass is not needed: one level lower is cheaper
@@ -477,9 +477,7 @@ class _CoverSearch:
                     gain = min(option, state[x])
                     nrsum = rsum - gain
                     if ocost + nrsum > left:
-                        # each further copy costs at least the one vote it gains
-                        best = min(best, ocost + nrsum)
-                        k = hi + 1
+                        k = hi + 1  # each further copy costs at least the one vote it gains
                         break
                     nstate = state[:x] + (state[x] - gain,) + state[x + 1:] if gain else state
                     if option and j < len(coords):
@@ -489,27 +487,22 @@ class _CoverSearch:
                 if nrsum == 0:
                     frame[5] = k
                     return stack
-                need = lower(nlayer, navail, nstate, left - ocost)
-                if need <= left - ocost:
+                if lower(nlayer, navail, nstate, left - ocost) <= left - ocost:
                     child = self.frame(nlayer, navail, nstate, nrsum, left - ocost)
-                    if frame[9] is not None:
+                    if frame[7] is not None:
                         # the child narrows this cover; left to find their own, children
                         # took 2,001 gadget-pool checks, not 1,474 (3dm-8 `s` 42, not 27)
-                        self.least_fit(child, frame[9])
+                        self.least_fit(child, frame[7])
                     break
-                if ocost + need < best:
-                    best = ocost + need
-            frame[5], frame[7] = k, best
+            frame[5] = k
             if child is not None:
-                frame[8] = ocost
                 stack.append(child)
                 continue
             stack.pop()
             if len(self.failed) < _MEMO_CAP:
-                self.failed[(layer, avail, state)] = best - 1
+                self.failed[(layer, avail, state)] = left
             if stack:
                 parent = stack[-1]
-                parent[7] = min(parent[7], parent[8] + best)
                 # checked here, not as a bound in `lower` (20 crowd timeouts) nor on each
                 # new zero-slack frame (sum-8's ops 0.2-1.0 -> 1.1-6.4 ms, 8 crowd ops
                 # over 5 s); a frame following a cover never gets here
@@ -597,11 +590,10 @@ def _lp_weights(problem: _CoverProblem) -> list[int]:
 def score_exact(triple: DodgsonTriple) -> ScoreResult:
     """Exact Dodgson score with the lexicographically least witness achieving it.
 
-    The search runs at rising budgets from the root bound, sharing its memo;
-    a failed budget leaves the root's proven bound there, and the next budget
-    is the least one not yet ruled out.  After the second failure the ladder
-    jumps once to the LP bound, ⌈L(y)⌉ of :func:`_dual_bound` at the weights
-    of :func:`_lp_weights`.  Every bound is at most the score, so only budgets
+    The search runs at rising budgets from the root bound, one apart, sharing
+    its memo.  After the second failure the ladder jumps once to the LP bound,
+    ⌈L(y)⌉ of :func:`_dual_bound` at the weights of :func:`_lp_weights`, if
+    that is higher.  Every bound is at most the score, so only budgets
     below it are skipped: the first budget that admits a cover is the score,
     and its first cover the witness.
     """
@@ -617,7 +609,7 @@ def score_exact(triple: DodgsonTriple) -> ScoreResult:
     failed = 0
     while (stack := search.cover(budget)) is None:
         failed += 1
-        budget = max(budget + 1, search.lower(layer, avail, problem.start, budget + 1))
+        budget += 1
         if failed == 2:
             # Not after the first failure: 26 gadget-pool ops find their cover
             # at the next budget, for 0.03-1.2 ms, less than the LP costs them

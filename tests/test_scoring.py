@@ -792,19 +792,46 @@ def test_lp_rung_keeps_the_witness(monkeypatch, name):
     assert score_exact(t) == jumped
 
 
+def _3dm_13_c() -> DodgsonTriple:
+    text = ("W: w1 w2 w3\nX: x1 x2 x3\nY: y1 y2 y3\nw1 x1 y3\nw1 x2 y2\nw1 x3 y1\nw2 x1 y1\n"
+            "w2 x1 y2\nw2 x1 y3\nw3 x1 y1\nw3 x1 y2\nw3 x2 y1\nw3 x3 y2\n")
+    return DodgsonTriple(reduce_3dm(parse_matching(text)).triple.election, "c")
+
+
 def test_ladder_climbs_past_a_loose_lp_bound(monkeypatch):
     # 3dm-13's `c`: the LP bound (9) is one below the score (10), so the
     # ladder may not stop at it.  Reference from the Bartholdi-Tovey-Trick
     # integer program.
-    text = ("W: w1 w2 w3\nX: x1 x2 x3\nY: y1 y2 y3\nw1 x1 y3\nw1 x2 y2\nw1 x3 y1\nw2 x1 y1\n"
-            "w2 x1 y2\nw2 x1 y3\nw3 x1 y1\nw3 x1 y2\nw3 x2 y1\nw3 x3 y2\n")
-    t = DodgsonTriple(reduce_3dm(parse_matching(text)).triple.election, "c")
+    t = _3dm_13_c()
     assert _lp_bound(t) == 9
     result = score_exact(t)
     assert result.score == 10 == sum(result.witness)
     assert condorcet_winner(apply_raises(t, result.witness)) == "c"
     monkeypatch.setattr(scoring, "_MEMO_CAP", 1)
     assert score_exact(t) == result
+
+
+@pytest.mark.parametrize("name, want", [("s2", [71, 72, 73]), ("s10", [47, 48, 65]),
+                                        ("s20", [44, 45, 55]), ("3dm-13 c", [9, 10])])
+def test_ladder_steps_by_one_then_jumps_to_the_lp(monkeypatch, name, want):
+    # A failed budget tells the ladder only that the next one is worth trying;
+    # after the second failure it jumps once to the LP bound, if that is
+    # higher.  3dm-13's `c` finds its cover at the second budget.
+    t = _3dm_13_c() if name == "3dm-13 c" else _defect1_separator(name)
+    problem = _cover_problem(t, deficit_vector(t))
+    search = _CoverSearch(problem)
+    root = search.lower(*search.entry[0], problem.start)
+    assert want == [root, root + 1, max(root + 2, _lp_bound(t))][:len(want)]
+    budgets = []
+    cover = _CoverSearch.cover
+
+    def traced(search, budget):
+        budgets.append(budget)
+        return cover(search, budget)
+
+    monkeypatch.setattr(_CoverSearch, "cover", traced)
+    score_exact(t)
+    assert budgets == want
 
 
 def test_lp_on_hundreds_of_groups_is_quick():
