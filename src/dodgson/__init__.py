@@ -9,7 +9,6 @@ verification harnesses for all of their contracts.
 from .elections import (
     DodgsonTriple,
     Election,
-    PairwiseTally,
     ParseError,
     PreferenceOrder,
     VoterProfile,
@@ -45,7 +44,6 @@ from .matching import (
     serialize_matching,
 )
 from .scoring import (
-    RaiseAllocation,
     ScoreResult,
     all_scores,
     apply_raises,
@@ -64,14 +62,12 @@ __all__ = [
     "PreferenceOrder",
     "VoterProfile",
     "DodgsonTriple",
-    "PairwiseTally",
     "ParseError",
     "condorcet_winner",
     "deficit_vector",
     "pairwise_tally",
     "parse_election",
     "serialize_election",
-    "RaiseAllocation",
     "ScoreResult",
     "score_exact",
     "score_decision",

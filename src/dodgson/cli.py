@@ -114,12 +114,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("left", help="file:candidate")
     p.add_argument("right", help="file:candidate")
 
-    p = sub.add_parser("oracle", help="breadth-first sequential-switch oracle (desk scale)")
+    p = sub.add_parser("oracle", help="best-first sequential-switch oracle (desk scale)")
     p.add_argument("file")
     p.add_argument("-c", "--candidate", required=True)
     p.add_argument(
         "--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP,
-        help="depth cap for the breadth-first oracle",
+        help="largest score the oracle searches for",
     )
 
     p = sub.add_parser("reduce", help="run a gadget construction and write its output")

@@ -23,7 +23,6 @@ __all__ = [
     "VoterProfile",
     "Election",
     "DodgsonTriple",
-    "PairwiseTally",
     "check_name",
     "majority_threshold",
     "pairwise_tally",

@@ -27,7 +27,7 @@ from dodgson import (
 )
 from dodgson.gadgets import build_merge, build_sum
 
-from conftest import chain_triple, election
+from conftest import chain_triple, election, time_limit
 
 
 # --- normalization -------------------------------------------------------------
@@ -79,9 +79,11 @@ def test_reduction_scores_confirmed_by_bfs_oracle():
     from dodgson import score_oracle
 
     yes = reduce_3dm(CANONICAL_YES)
-    assert score_oracle(yes.triple, cap=6) == 6
+    with time_limit(1):
+        assert score_oracle(yes.triple, cap=6) == 6
     no = reduce_3dm(CANONICAL_NO)
-    assert score_oracle(no.triple, cap=7) == 7
+    with time_limit(1):
+        assert score_oracle(no.triple, cap=7) == 7
 
 
 def test_reduction_voter_count_follows_triple_count():

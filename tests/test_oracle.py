@@ -1,4 +1,4 @@
-"""The breadth-first oracle against a literal recount reference, and the
+"""The best-first oracle against a literal recount reference, and the
 voter-type exact search against the oracle on grouped profiles."""
 
 import itertools
@@ -16,7 +16,7 @@ from dodgson import (
     score_oracle,
     unit_chain,
 )
-from dodgson.elections import majority_threshold
+from dodgson.elections import deficit_vector, majority_threshold
 
 
 def _reference_oracle(triple: DodgsonTriple, cap: int = 20) -> int | None:
@@ -140,6 +140,46 @@ def test_oracle_cap_zero_on_a_condorcet_winner():
 def test_oracle_matches_reference_on_unit_chain():
     t = unit_chain(5)
     assert score_oracle(t) == _reference_oracle(t) == 5
+
+
+def _slack_profile(k: int, spacing: int, lovers: int) -> DodgsonTriple:
+    """``c`` beats ``x1..xk`` and is short of a majority against each of
+    ``lovers`` opponents (``y``, then ``z``).  The voters that rank those
+    opponents above ``c`` also rank ``spacing`` of the x's just above it, so
+    every switch toward a missing vote first passes an x that ``c`` already
+    beats: the score exceeds the deficit sum by ``spacing``.  The other
+    ``k - 1`` voters rank ``c`` first and the opponents last.  ``(3, 1, 1)``
+    is x2 x3 c x1 y / x1 x3 c x2 y / x1 x2 c x3 y / y x1 x2 x3 c (twice),
+    lowest first: deficit sum 1, score 2."""
+    xs = [f"x{i}" for i in range(1, k + 1)]
+    top = ["y", "z"][:lovers]
+    orders = []
+    for i in range(k):
+        beaten = [xs[(i + j) % k] for j in range(spacing)]
+        rest = [x for x in xs if x not in beaten]
+        orders.append(PreferenceOrder(tuple(rest + ["c"] + beaten + top)))
+    orders += [PreferenceOrder(tuple(top + xs + ["c"]))] * (k - 1)
+    return DodgsonTriple(Election(tuple(xs + ["c"] + top), VoterProfile.from_orders(orders)), "c")
+
+
+@pytest.mark.parametrize(
+    "k, spacing, lovers, score",
+    [(3, 1, 1, 2), (4, 1, 1, 2), (3, 2, 1, 3), (4, 2, 1, 3), (3, 1, 2, 3), (4, 1, 2, 3),
+     (4, 2, 2, 4)],
+)
+def test_oracle_matches_reference_above_the_deficit_sum(k, spacing, lovers, score):
+    # the search's slack: exchanges that leave the missing votes unchanged,
+    # and the designated candidate moving down, must not hide the score
+    t = _slack_profile(k, spacing, lovers)
+    deficit_sum = sum(deficit_vector(t).values())
+    assert deficit_sum == lovers and score == deficit_sum + spacing
+    assert score_oracle(t) == _reference_oracle(t) == score
+    assert score_oracle(t, cap=score) == _reference_oracle(t, cap=score) == score
+    assert score_oracle(t, cap=score - 1) is None
+    assert _reference_oracle(t, cap=score - 1) is None
+    assert score_oracle(t, cap=deficit_sum - 1) is None
+    assert _reference_oracle(t, cap=deficit_sum - 1) is None
+    assert score_exact(t).score == score
 
 
 # --- the voter-type search against the oracle ------------------------------------

@@ -93,7 +93,7 @@ def test_decision_matches_exact_on_cycle(cycle):
             assert score_decision(t, budget) == (exact <= budget)
 
 
-# --- the breadth-first oracle ----------------------------------------------------
+# --- the best-first oracle -------------------------------------------------------
 
 
 def test_oracle_fixed_points(cycle, unanimous):
