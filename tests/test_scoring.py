@@ -311,6 +311,59 @@ def test_each_score_and_decision_counts_deficits_once(monkeypatch):
         assert calls == [t]
 
 
+def test_is_winner_counts_only_its_own_deficits_when_every_rival_is_refuted(monkeypatch):
+    # every rival's deficit sum exceeds the designated score less one, so the
+    # early-exit sums refute them all and only the designated candidate's
+    # deficit vector is ever counted
+    from dodgson import merge_prime
+    from dodgson.verify import RunConfig, merge_corpus
+
+    t = merge_prime(*merge_corpus(RunConfig(seed=0, trials=4))[1])  # 41 candidates, score 3
+    e = t.election
+    own = score_exact(t).score
+    assert all(sum(deficit_vector(triple(e, name)).values()) > own - 1
+               for name in e.candidates if name != t.designated)
+    calls = []
+    count = scoring.deficit_vector
+    monkeypatch.setattr(scoring, "deficit_vector", lambda t: calls.append(t) or count(t))
+    assert is_winner(t)
+    assert calls == [t]
+
+
+def test_early_exit_deficit_sum_agrees_with_the_full_sum():
+    # the rival check stops once its running sum passes the budget; around
+    # each candidate's deficit sum s it must refute exactly the budgets below s
+    from dodgson import merge_prime, parity_combine
+    from dodgson.verify import RunConfig, merge_corpus, random_election, random_matching, trial_rng
+
+    elections = _grouped_profiles()
+    for i in range(20):
+        rng = trial_rng(17, "deficit-sum", i)
+        names = tuple("abcdefg"[: rng.randint(2, 7)])
+        elections.append(random_election(rng, names, rng.choice([1, 2, 5, 9])))
+    for seed in range(2):
+        for t1, t2 in merge_corpus(RunConfig(seed=seed, trials=4)):
+            elections.append(merge_prime(t1, t2).election)
+    rng = trial_rng(5, "parity", 0)
+    pair = parity_combine([random_matching(rng, 2, rng.randint(1, 4)) for _ in range(2)])
+    elections += [pair.left.election, pair.right.election]
+    checked = 0
+    for e in elections:
+        over = scoring._deficit_sum_over(e)
+        for name in e.candidates:
+            s = sum(deficit_vector(triple(e, name)).values())
+            for budget in range(max(0, s - 1), s + 2):
+                assert over(name, budget) == (s > budget), (e.candidates, name, budget)
+                checked += 1
+    assert checked > 1000, checked
+    # the pair's sides have 11 and 15 voters: each side's rival is refuted on
+    # the deficits of its own election
+    assert pair.left.election.n != pair.right.election.n
+    left, right = score_exact(pair.left).score, score_exact(pair.right).score
+    assert two_election_ranking(pair.left, pair.right) == (left <= right)
+    assert two_election_ranking(pair.right, pair.left) == (right <= left)
+
+
 def test_is_winner_matches_the_argmin_of_all_scores():
     # every candidate of seeded merge_corpus pairs, their merge_prime outputs
     # and parity_combine outputs wins exactly when its score is least
@@ -366,6 +419,26 @@ def test_two_election_ranking_validation(cycle):
 
 
 # --- thousands of voters or dozens of candidates, under a time limit -----------------
+
+
+@pytest.mark.parametrize("combo, want",
+                         [("YN", True), ("YNNN", True), ("NN", False), ("YY", False)])
+def test_parity_chain_winner_and_ranking_within_time(combo, want):
+    # Wagner's parity combiner on canonical 3DM instances, then the winner and
+    # ranking reductions: thousands of candidates (2,900 for two inputs,
+    # 10,282 for four), nearly all fillers refuted by their deficit sums.
+    # Counting each rival's full deficit vector took is_winner 9-10 s and
+    # 139-202 s on the two true cases.
+    from dodgson import (
+        CANONICAL_NO, CANONICAL_YES, parity_combine, reduce_2er_to_ranking, reduce_2er_to_winner,
+    )
+
+    pair = parity_combine([CANONICAL_YES if c == "Y" else CANONICAL_NO for c in combo])
+    winner = reduce_2er_to_winner(pair)
+    ranking = reduce_2er_to_ranking(pair)
+    with time_limit(5):
+        assert is_winner(winner) is want
+        assert ranks_at_least(ranking.election, ranking.first, ranking.second) is want
 
 
 def test_many_voter_cycle_scores_within_time():
