@@ -11,10 +11,10 @@ Two independent routes to the same quantity:
   explicit stack tries these counts in ascending order, pruned by admissible
   bounds and a failure memo.  :func:`score_decision` checks the deficit sum
   before building the cover problem and, if it fits, runs the search once at
-  its budget; the winner and ranking decisions first refute each rival on a
-  deficit sum that stops once it passes their budget.  :func:`score_exact`
-  runs the search at rising budgets from the root bound, after two failures
-  jumping once to the LP bound of the program's relaxation, and the first
+  its budget; the winner decision first refutes each rival on a deficit sum
+  that stops once it passes its budget.  :func:`score_exact` runs the search
+  at rising budgets from the root bound, after two failures jumping once to
+  ⌈LP⌉ of the program's relaxation, solved in exact integers, and the first
   budget that admits a cover is the score and gives the witness.  Where the
   budget left equals the residual deficit sum, only covers that pass each
   opponent exactly its residual with no wasted switch remain; an exact-fit
@@ -25,9 +25,9 @@ Two independent routes to the same quantity:
   the designated candidate still misses.  This is the ground truth the
   raise-only model is validated against, at small scale.
 
-Everything here is pure and deterministic; witness ties are broken by the
-lexicographically smallest per-voter raises vector under flat voter order, in
-which the copies of a group raise in ascending order.
+Everything here is pure, deterministic and in exact integers; witness ties
+are broken by the lexicographically smallest per-voter raises vector under
+flat voter order, in which the copies of a group raise in ascending order.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import inf
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .elections import DodgsonTriple, Election, VoterProfile, deficit_vector, majority_threshold
 from .gadgets import TwoERInstance
@@ -55,7 +55,6 @@ __all__ = [
 
 DEFAULT_ORACLE_CAP = 20
 _MEMO_CAP = 10_000_000  # failed states remembered per search; bounds memory on long searches
-_LP_SCALE = 1 << 20  # LP weights are rounded to multiples of 1 / _LP_SCALE
 
 
 @dataclass(frozen=True)
@@ -518,9 +517,10 @@ def _dual_bound(problem: _CoverProblem, y: Sequence[int], scale: int = 1) -> int
     earns most:  L(y) = sum_x y_x r_x - sum_copies max_k (sum of y_x over the
     opponents passed at level k - cost_k), level 0 earning 0.  Every cover
     costs at least L(y) (weak duality), so the bound is admissible for any
-    y >= 0, optimal or not.  y = 1 gives the deficit sum, y = 1 + e_x the
-    efficient-supply bound of x, and y = t e_x, t the r_x-th cheapest cost of
-    passing x, the cost of x's r_x cheapest passes.
+    y >= 0, optimal or not, and at the LP optimum it is the LP's value.  y = 1
+    gives the deficit sum, y = 1 + e_x the efficient-supply bound of x, and
+    y = t e_x, t the r_x-th cheapest cost of passing x, the cost of x's r_x
+    cheapest passes.
     """
     total = sum(w * r for w, r in zip(y, problem.start))
     for grp in problem.groups:
@@ -532,18 +532,18 @@ def _dual_bound(problem: _CoverProblem, y: Sequence[int], scale: int = 1) -> int
     return -(-total // scale)
 
 
-def _lp_weights(problem: _CoverProblem) -> list[int]:
-    """Weights y, times ``_LP_SCALE`` and rounded, from the dual of the LP
-    relaxation of the Bartholdi–Tovey–Trick program.
+def _lp_weights(problem: _CoverProblem) -> tuple[list[int], int]:
+    """Integer weights y and a divisor d such that y / d solves the dual of the
+    LP relaxation of the Bartholdi–Tovey–Trick program exactly.
 
     The dual maximises sum_x r_x y_x - sum_t mult_t u_t over y, u >= 0, with
     one row  sum of y_x over the opponents passed at level k - u_t <= cost_k
     per distinct voter type t = (costs, coords) and level k >= 1; copies of
     one type, in any group, share one u_t.  The costs are >= 0, so the origin
-    is a feasible basis and a dense Tucker tableau needs no first phase.
-    Bland's rule pivots; every basis it meets is feasible, so the pivot cap
-    only weakens the bound.  The solve is in floats and its y is rounded:
-    :func:`_dual_bound` is admissible for any y >= 0, so nothing rests on it.
+    is a feasible basis and a dense Tucker tableau needs no first phase.  The
+    tableau is fraction-free (Bareiss 1968): each entry is its value times d,
+    the last pivot, and every division is exact.  So Bland's rule ends, with
+    no pivot cap, and ⌈L(y / d)⌉ is ⌈LP⌉.
     """
     types: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
     for grp in problem.groups:
@@ -553,48 +553,49 @@ def _lp_weights(problem: _CoverProblem) -> list[int]:
     # rows [coefficients..., right-hand side], the objective row last
     rows = []
     for t, (costs, coords) in enumerate(types):
-        row = [0.0] * (n + 1)
-        row[nx + t] = -1.0
+        row = [0] * (n + 1)
+        row[nx + t] = -1
         for k, x in enumerate(coords, start=1):
-            row[x], row[n] = 1.0, float(costs[k])
+            row[x], row[n] = 1, costs[k]
             rows.append(row[:])
-    rows.append([-float(r) for r in problem.start] + [float(m) for m in types.values()] + [0.0])
+    rows.append([-r for r in problem.start] + list(types.values()) + [0])
     m = len(rows) - 1
     basic, free = list(range(n, n + m)), list(range(n))
-    for _ in range(2 * (m + n)):
+    d = 1
+    while True:
         obj = rows[m]
-        s = min((j for j in range(n) if obj[j] < -1e-9), key=free.__getitem__, default=None)
+        s = min((j for j in range(n) if obj[j] < 0), key=free.__getitem__, default=None)
         if s is None:
             break
-        r = min((i for i in range(m) if rows[i][s] > 1e-9),
-                key=lambda i: (rows[i][n] / rows[i][s], basic[i]), default=None)
+        r = None  # the least ratio b_i / a_is, compared across; ties to the least basic variable
+        for i in range(m):
+            a = rows[i][s]
+            if a > 0 and (r is None or
+                          (rows[i][n] * rows[r][s], basic[i]) < (rows[r][n] * a, basic[r])):
+                r = i
         if r is None:
             break  # unbounded; cannot happen, as every deficit can be covered
-        inv = 1.0 / rows[r][s]
-        pivot = rows[r] = [v * inv for v in rows[r]]
-        pivot[s] = inv
+        pivot, p = rows[r], rows[r][s]
         for i, row in enumerate(rows):
             f = row[s]
-            if f and i != r:
-                rows[i] = [a - f * b for a, b in zip(row, pivot)]
-                rows[i][s] = -f * inv
+            if i != r and (f or p != d):
+                rows[i] = [(a * p - f * b) // d for a, b in zip(row, pivot)]
+                rows[i][s] = -f
+        pivot[s], d = d, p
         basic[r], free[s] = free[s], basic[r]
-    y = [0] * nx
-    for i, v in enumerate(basic):
-        if v < nx:
-            y[v] = max(0, round(rows[i][n] * _LP_SCALE))
-    return y
+    row_of = {v: i for i, v in enumerate(basic)}
+    return [rows[row_of[x]][n] if x in row_of else 0 for x in range(nx)], d
 
 
 def score_exact(triple: DodgsonTriple) -> ScoreResult:
     """Exact Dodgson score with the lexicographically least witness achieving it.
 
     The search runs at rising budgets from the root bound, one apart, sharing
-    its memo.  After the second failure the ladder jumps once to the LP bound,
-    ⌈L(y)⌉ of :func:`_dual_bound` at the weights of :func:`_lp_weights`, if
-    that is higher.  Every bound is at most the score, so only budgets
-    below it are skipped: the first budget that admits a cover is the score,
-    and its first cover the witness.
+    its memo.  After the second failure the ladder jumps once to ⌈LP⌉, which
+    is ⌈L(y / d)⌉ of :func:`_dual_bound` at the exact LP weights y / d of
+    :func:`_lp_weights`, if that is higher.  Every bound is at most the score,
+    so only budgets below it are skipped: the first budget that admits a
+    cover is the score, and its first cover the witness.
     """
     problem = _cover_problem(triple, deficit_vector(triple))
     n = triple.election.n
@@ -610,12 +611,12 @@ def score_exact(triple: DodgsonTriple) -> ScoreResult:
         failed += 1
         budget += 1
         if failed == 2:
-            # Not after the first failure: 26 gadget-pool ops find their cover
-            # at the next budget, for 0.03-1.2 ms, less than the LP costs them
-            # (0.1-2.5 ms).  After the first failure the LP moved gadget
-            # verdict_p50_ms 0.435 -> 0.459 ms (seed 1) and 0.448 -> 0.479 ms
-            # (seed 2); after the second, to 0.437 and 0.457 ms.
-            budget = max(budget, _dual_bound(problem, _lp_weights(problem), _LP_SCALE))
+            # Not after the first failure: 23 gadget-pool ops find their cover
+            # at the next budget, scored whole in 0.1-1.7 ms, and the exact LP
+            # would add 0.04-4.1 ms (best of 7, Python 3.11, 2 shared cores).
+            # After the first failure the float LP moved gadget verdict_p50_ms
+            # up 5-7% (seeds 1 and 2), after the second 0.5-2%.
+            budget = max(budget, _dual_bound(problem, *_lp_weights(problem)))
     # A group's copies raise in ascending order, later frames overwriting: a count
     # frame at (g, j) sends the group's last ``option`` copies to level j, a
     # single-copy frame sends its last copy to level ``option``.
@@ -790,26 +791,23 @@ def _deficit_sum_over(election: Election) -> Callable[[str, int], bool]:
     return over
 
 
-def _some_rival_below(triple: DodgsonTriple, election: Election, rivals: Iterable[str]) -> bool:
-    """Score ``triple`` exactly, then decide whether some rival in
-    ``election`` scores at most one less.  A rival whose deficit sum alone
-    exceeds that is refuted by :func:`_deficit_sum_over`; the others get
-    budget-limited decisions rather than full scoring, and the first rival
-    found below ends the check.  On the 2,900-candidate winner reduction of
-    one parity chain, is_winner takes 0.1 s (Python 3.11, 2 shared cores)."""
+def is_winner(triple: DodgsonTriple) -> bool:
+    """Does the designated candidate tie-or-defeat every other candidate?
+
+    Scores it exactly, then looks for a rival scoring at most one less.  A
+    rival whose deficit sum alone exceeds that is refuted by
+    :func:`_deficit_sum_over`; the others get budget-limited decisions rather
+    than full scoring, and the first rival found below ends the check.  On the
+    2,900-candidate winner reduction of one parity chain this takes 0.1 s
+    (Python 3.11, 2 shared cores).
+    """
+    election = triple.election
     own = score_exact(triple).score
     if own == 0:
-        return False
-    over = _deficit_sum_over(election)
-    return any(not over(name, own - 1) and score_decision(DodgsonTriple(election, name), own - 1)
-               for name in rivals)
-
-
-def is_winner(triple: DodgsonTriple) -> bool:
-    """Does the designated candidate tie-or-defeat every other candidate?"""
-    election = triple.election
-    rivals = (other for other in election.candidates if other != triple.designated)
-    return not _some_rival_below(triple, election, rivals)
+        return True
+    over, budget = _deficit_sum_over(election), own - 1
+    return not any(not over(name, budget) and score_decision(DodgsonTriple(election, name), budget)
+                   for name in election.candidates if name != triple.designated)
 
 
 def ranks_at_least(election: Election, c: str, d: str) -> bool:
@@ -819,7 +817,8 @@ def ranks_at_least(election: Election, c: str, d: str) -> bool:
             raise ValueError(f"unknown candidate {name!r}")
     if c == d:
         return True
-    return not _some_rival_below(DodgsonTriple(election, c), election, [d])
+    own = score_exact(DodgsonTriple(election, c)).score
+    return own == 0 or not score_decision(DodgsonTriple(election, d), own - 1)
 
 
 def two_election_ranking(left: DodgsonTriple, right: DodgsonTriple) -> bool:
@@ -829,7 +828,8 @@ def two_election_ranking(left: DodgsonTriple, right: DodgsonTriple) -> bool:
     candidates must differ; anything else is not a valid instance.
     """
     TwoERInstance(left, right)  # validates the pair
-    return not _some_rival_below(left, right.election, [right.designated])
+    own = score_exact(left).score
+    return own == 0 or not score_decision(right, own - 1)
 
 
 def apply_raises(triple: DodgsonTriple, raises: Sequence[int]) -> Election:

@@ -29,7 +29,7 @@ from dodgson import (
 )
 
 from dodgson import scoring
-from dodgson.scoring import _LP_SCALE, _CoverSearch, _cover_problem, _dual_bound, _lp_weights
+from dodgson.scoring import _CoverSearch, _cover_problem, _dual_bound, _lp_weights
 
 from conftest import election, time_limit
 
@@ -356,8 +356,8 @@ def test_early_exit_deficit_sum_agrees_with_the_full_sum():
                 assert over(name, budget) == (s > budget), (e.candidates, name, budget)
                 checked += 1
     assert checked > 1000, checked
-    # the pair's sides have 11 and 15 voters: each side's rival is refuted on
-    # the deficits of its own election
+    # the pair's sides have 11 and 15 voters: each side's rival is decided on
+    # its own election
     assert pair.left.election.n != pair.right.election.n
     left, right = score_exact(pair.left).score, score_exact(pair.right).score
     assert two_election_ranking(pair.left, pair.right) == (left <= right)
@@ -416,6 +416,27 @@ def test_two_election_ranking_validation(cycle):
         two_election_ranking(DodgsonTriple(even, "a"), unit_chain(1))
     with pytest.raises(ValueError, match="differ"):
         two_election_ranking(triple(cycle, "a"), triple(cycle, "a"))
+
+
+def test_single_rival_decisions_build_no_rival_index(monkeypatch, cycle, unanimous):
+    # ranks_at_least and two_election_ranking have one rival, and its
+    # score_decision refutes it on its deficit sum: neither builds the index
+    # is_winner builds for its many rivals
+    from dodgson import parity_combine
+    from dodgson.verify import random_matching, trial_rng
+
+    rng = trial_rng(5, "parity", 0)
+    pair = parity_combine([random_matching(rng, 2, rng.randint(1, 4)) for _ in range(2)])
+    left, right = score_exact(pair.left).score, score_exact(pair.right).score
+
+    def refused(election):
+        raise AssertionError("built the rival index")
+
+    monkeypatch.setattr(scoring, "_deficit_sum_over", refused)
+    assert ranks_at_least(cycle, "a", "b") and ranks_at_least(unanimous, "c", "a")
+    assert not ranks_at_least(unanimous, "a", "c")
+    assert two_election_ranking(pair.left, pair.right) == (left <= right)
+    assert two_election_ranking(pair.right, pair.left) == (right <= left)
 
 
 # --- thousands of voters or dozens of candidates, under a time limit -----------------
@@ -724,7 +745,7 @@ def test_zero_slack_separators_follow_the_cover(monkeypatch, name):
 
 def _lp_bound(t: DodgsonTriple) -> int:
     problem = _cover_problem(t, deficit_vector(t))
-    return _dual_bound(problem, _lp_weights(problem), _LP_SCALE)
+    return _dual_bound(problem, *_lp_weights(problem))
 
 
 def test_dual_bound_is_admissible_for_any_weights():
@@ -793,7 +814,7 @@ def test_dual_bound_generalises_the_search_bounds():
                 assert _dual_bound(problem, [1 + u for u in unit]) == supply
                 best = max(best, cheapest, supply)
                 seen += 1
-            assert _dual_bound(problem, _lp_weights(problem), _LP_SCALE) >= best
+            assert _dual_bound(problem, *_lp_weights(problem)) >= best
     assert seen >= 100
 
 
@@ -861,8 +882,106 @@ def test_lp_rung_keeps_the_witness(monkeypatch, name):
     t = _defect1_separator(name)
     assert _lp_bound(t) == score_exact(t).score
     jumped = score_exact(t)
-    monkeypatch.setattr(scoring, "_lp_weights", lambda problem: [0] * len(problem.coords))
+    monkeypatch.setattr(scoring, "_lp_weights", lambda problem: ([0] * len(problem.coords), 1))
     assert score_exact(t) == jumped
+
+
+def _seeded_lp_problems() -> list[tuple[Election, DodgsonTriple]]:
+    """Every candidate with a deficit of 120 seeded elections, 3-6 candidates
+    and 5-21 voters; trials 66 `f` and 72 `e` end the LP on the pivot d = 2."""
+    from dodgson.verify import random_election, trial_rng
+
+    found = []
+    for i in range(120):
+        rng = trial_rng(5, "lp", i)
+        names = tuple("abcdef"[: rng.randint(3, 6)])
+        e = random_election(rng, names, rng.choice([5, 7, 9, 11, 15, 21]))
+        found += [(e, triple(e, name)) for name in e.candidates
+                  if sum(deficit_vector(triple(e, name)).values())]
+    return found
+
+
+def test_lp_divides_exactly_by_pivots_above_one():
+    # The fraction-free tableau divides by the last pivot d on every pivot
+    # after the first; a d >= 2 at the end means those divisions ran and the
+    # weights are y / d.  Throughout, ceil(L(y / d)) lies between the deficit
+    # sum and the score.
+    divisors = []
+    for _, t in _seeded_lp_problems():
+        problem = _cover_problem(t, deficit_vector(t))
+        y, d = _lp_weights(problem)
+        assert min(y) >= 0 and d >= 1
+        assert sum(problem.start) <= _dual_bound(problem, y, d) <= score_exact(t).score
+        divisors.append(d)
+    assert len(divisors) > 400 and max(divisors) >= 2
+    # a later pivot reads the entry a pivot leaves in its own row and column,
+    # d; left at the pivot instead, this bound drops to 5
+    t = triple(parse_election(_PIVOT_ENTRY_READ_AGAIN), "g")
+    assert _lp_bound(t) == score_exact(t).score == 6
+
+
+_PIVOT_ENTRY_READ_AGAIN = """candidates: a b c d e f g
+1: a<b<e<c<f<d<g
+1: b<a<c<f<g<d<e
+1: b<a<e<g<f<d<c
+1: c<e<a<b<f<d<g
+1: d<a<e<c<b<g<f
+1: d<b<g<a<c<f<e
+1: e<d<g<f<a<b<c
+1: f<c<a<g<d<b<e
+1: g<a<c<e<b<d<f
+1: g<d<f<c<a<e<b
+1: g<f<a<d<b<e<c
+"""
+
+
+def test_lp_bound_is_the_ceiling_of_the_lp_optimum():
+    # ceil(L(y / d)) equals ceil(LP) from HiGHS on the relaxation of the
+    # Bartholdi-Tovey-Trick program, built here from the raw voter orders: a
+    # count per order and raise j >= 1 (cost j, passing the j candidates above),
+    # at most the order's copies in all, covering each deficit.
+    from math import ceil
+
+    optimize = pytest.importorskip("scipy.optimize")
+    checked = 0
+    for e, t in _seeded_lp_problems():
+        deficits = deficit_vector(t)
+        opponents = sorted(name for name, need in deficits.items() if need)
+        costs, cover, caps, per_order = [], [[] for _ in opponents], [], []
+        for order, mult in e.profile.groups:
+            above = order.ranking[order.position(t.designated) + 1:]
+            caps.append(mult)
+            per_order.append([0] * len(costs) + [1] * len(above))
+            for j in range(1, len(above) + 1):
+                costs.append(j)
+                for row, name in zip(cover, opponents):
+                    row.append(-1 if name in above[:j] else 0)
+        rows = [row + [0] * (len(costs) - len(row)) for row in per_order] + cover
+        result = optimize.linprog(costs, A_ub=rows, b_ub=caps + [-deficits[x] for x in opponents],
+                                  method="highs")
+        assert result.status == 0
+        assert _lp_bound(t) == ceil(result.fun - 1e-6), (e.candidates, t.designated, result.fun)
+        checked += 1
+    assert checked > 400
+
+
+def test_scoring_runs_on_integers_only():
+    # Every answer is an exact integer with no tolerances, so scoring.py holds
+    # no float constant, no true division and no call to float() or round();
+    # the math.inf sentinels are names, not constants.
+    import ast
+    import inspect
+
+    floats = []
+    for node in ast.walk(ast.parse(inspect.getsource(scoring))):
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            floats.append((node.lineno, "float constant"))
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            floats.append((node.lineno, "true division"))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("float", "round")):
+            floats.append((node.lineno, f"{node.func.id}()"))
+    assert not floats, floats
 
 
 def _3dm_13_c() -> DodgsonTriple:
