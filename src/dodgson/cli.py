@@ -117,10 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="best-first sequential-switch oracle (desk scale)")
     p.add_argument("file")
     p.add_argument("-c", "--candidate", required=True)
-    p.add_argument(
-        "--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP,
-        help="largest score the oracle searches for",
-    )
 
     p = sub.add_parser("reduce", help="run a gadget construction and write its output")
     p.add_argument("kind", choices=_REDUCERS)
@@ -190,11 +186,11 @@ def _cmd_2er(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    found = score_oracle(_load_designated(args.file, args.candidate), args.oracle_cap)
-    lines = [f"score: {found}" if found is not None else f"unknown (cap {args.oracle_cap} exceeded)"]
+    found = score_oracle(_load_designated(args.file, args.candidate))
+    lines = [f"score: {found}" if found is not None else f"unknown (cap {DEFAULT_ORACLE_CAP} exceeded)"]
     _emit(
         {"command": "oracle", "candidate": args.candidate, "score": found,
-         "cap": args.oracle_cap},
+         "cap": DEFAULT_ORACLE_CAP},
         lines,
         args.json,
     )

@@ -175,22 +175,14 @@ class DodgsonTriple:
         return self.election.n
 
 
-@dataclass(frozen=True)
-class PairwiseTally:
+def pairwise_tally(election: Election) -> dict[str, dict[str, int]]:
     """votes[a][b] = number of voters strictly preferring a to b (votes[a][a] = 0)."""
-
-    candidates: tuple[str, ...]
-    n: int
-    votes: dict[str, dict[str, int]]
-
-
-def pairwise_tally(election: Election) -> PairwiseTally:
     votes = {a: {b: 0 for b in election.candidates} for a in election.candidates}
     for order, mult in election.profile.groups:
         # combinations() yields (lower, higher); the higher entry is preferred
         for low, high in itertools.combinations(order.ranking, 2):
             votes[high][low] += mult
-    return PairwiseTally(election.candidates, election.n, votes)
+    return votes
 
 
 def condorcet_winner(election: Election) -> str | None:
@@ -199,10 +191,10 @@ def condorcet_winner(election: Election) -> str | None:
     A single-candidate election has its candidate win vacuously; exact ties
     never count as a defeat.
     """
-    tally = pairwise_tally(election)
+    votes = pairwise_tally(election)
     need = majority_threshold(election.n)
     for w in election.candidates:
-        if all(tally.votes[w][d] >= need for d in election.candidates if d != w):
+        if all(votes[w][d] >= need for d in election.candidates if d != w):
             return w
     return None
 

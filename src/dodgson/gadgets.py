@@ -12,6 +12,7 @@ that each ``build_*`` function returns alongside its result.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -97,8 +98,6 @@ class Sentinel:
     It is a distinct type, never a valid instance of any decision problem
     here, so membership checks reject it structurally.
     """
-
-    tag: str = "rejected-input"
 
 
 SENTINEL = Sentinel()
@@ -259,20 +258,14 @@ def _sum(triples: Sequence[DodgsonTriple], name: str) -> tuple[DodgsonTriple, di
     # floor(n_i/2) + sum_{j != i} n_j of them and below c for the rest, which
     # pins c's standing against block i outside block i's own simulators.
     thresholds = [sizes[i] // 2 + (total_n - sizes[i]) for i in range(len(triples))]
-    previous: list[str] | None = None
-    run = 0
-    for q in range(1, total_n):
-        left = [other for i in range(len(triples)) if q > thresholds[i] for other in lists[i]]
-        right = [other for i in range(len(triples)) if q <= thresholds[i] for other in lists[i]]
-        order = left + [name] + s_list + right
-        if order == previous:
-            run += 1
-            continue
-        if previous is not None:
-            writer.emit(previous, run, "normalizer")
-        previous, run = order, 1
-    if previous is not None:
-        writer.emit(previous, run, "normalizer")
+    normalizers = (
+        [other for i in range(len(triples)) if q > thresholds[i] for other in lists[i]]
+        + [name] + s_list
+        + [other for i in range(len(triples)) if q <= thresholds[i] for other in lists[i]]
+        for q in range(1, total_n)
+    )
+    for order, run in itertools.groupby(normalizers):
+        writer.emit(order, len(list(run)), "normalizer")
     candidates = [name] + [other for block in lists for other in block] + s_list
     election = Election(tuple(candidates), writer.profile())
     info = {

@@ -614,8 +614,11 @@ def score_exact(triple: DodgsonTriple) -> ScoreResult:
             # Not after the first failure: 23 gadget-pool ops find their cover
             # at the next budget, scored whole in 0.1-1.7 ms, and the exact LP
             # would add 0.04-4.1 ms (best of 7, Python 3.11, 2 shared cores).
-            # After the first failure the float LP moved gadget verdict_p50_ms
-            # up 5-7% (seeds 1 and 2), after the second 0.5-2%.
+            # Jumping after the first failure cuts the gadget pool from 4.3 to
+            # 1.2 s (merge separators 0.4-0.7 s -> 10 ms), but the one-step
+            # ladders then pay it (parity2-3.exact.322 0.73 -> 3.95 ms): gadget
+            # pass_s went 0.143-0.167 -> 0.181-0.205 s and verdict_tail_ms
+            # 1.34-1.63 -> 3.51-4.25 ms (4 pairs, seeds 41-44).
             budget = max(budget, _dual_bound(problem, *_lp_weights(problem)))
     # A group's copies raise in ascending order, later frames overwriting: a count
     # frame at (g, j) sends the group's last ``option`` copies to level j, a

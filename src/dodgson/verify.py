@@ -62,8 +62,6 @@ __all__ = [
     "merge_corpus",
 ]
 
-SUITE_NAMES = ("3", "4", "6", "wagner", "theorems")
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -324,6 +322,7 @@ _SUITES = {
     "wagner": verify_parity_combiner,
     "theorems": verify_end_to_end,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str, config: RunConfig) -> list[PropertyCheck]:

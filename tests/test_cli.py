@@ -165,11 +165,18 @@ def test_input_errors_exit_two(argv, message, files, tmp_path, capsys):
     assert captured.err.startswith("error: " + message.format(**names)), captured.err
 
 
-def test_oracle_command(files, capsys):
+def test_oracle_command(files, tmp_path, capsys):
     assert main(["oracle", files["cycle.dodg"], "-c", "c"]) == 0
     assert capsys.readouterr().out == "score: 1\n"
-    assert main(["oracle", files["t5.dodg"], "-c", "1", "--oracle-cap", "2"]) == 0
-    assert "unknown" in capsys.readouterr().out
+    # one voter ranking 1 last: the score is 21, one above the fixed cap of 20
+    names = [str(i) for i in range(1, 23)]
+    path = tmp_path / "chain.dodg"
+    path.write_text(f"candidates: {' '.join(names)}\n1: {'<'.join(names)}\n")
+    assert main(["oracle", str(path), "-c", "1"]) == 0
+    assert capsys.readouterr().out == "unknown (cap 20 exceeded)\n"
+    assert main(["oracle", str(path), "-c", "1", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["score"] is None and payload["cap"] == 20
 
 
 def test_reduce_3dm_writes_outputs(files, tmp_path, capsys):
@@ -309,7 +316,7 @@ INERT_FLAGS = [
     (command, flag)
     for command in ("score", "winner", "ranking", "2er", "reduce")
     for flag in ("--seed", "--trials", "--oracle-cap")
-] + [(command, "--state-cap") for command in QUERIES]
+] + [(command, "--state-cap") for command in QUERIES] + [("oracle", "--oracle-cap")]
 
 
 @pytest.mark.parametrize("command, flag", INERT_FLAGS)

@@ -85,19 +85,19 @@ def test_serialize_parse_identity(groups):
 
 
 def test_cycle_tally(cycle):
-    votes = pairwise_tally(cycle).votes
+    votes = pairwise_tally(cycle)
     assert votes["b"]["a"] == 2
     assert votes["c"]["b"] == 2
     assert votes["a"]["c"] == 2
 
 
 def test_unanimous_tally(unanimous):
-    votes = pairwise_tally(unanimous).votes
+    votes = pairwise_tally(unanimous)
     assert votes["c"]["b"] == votes["c"]["a"] == votes["b"]["a"] == 3
 
 
 def test_two_candidate_tally():
-    votes = pairwise_tally(election("a b", "a<b")).votes
+    votes = pairwise_tally(election("a b", "a<b"))
     assert votes["b"]["a"] == 1
     assert votes["a"]["b"] == 0
 
@@ -105,11 +105,11 @@ def test_two_candidate_tally():
 @given(st.lists(_SMALL_ORDERS, min_size=1, max_size=5))
 def test_tally_complement(orders):
     e = Election(("a", "b", "c"), VoterProfile.from_orders(orders))
-    tally = pairwise_tally(e)
+    votes = pairwise_tally(e)
     for a, b in itertools.permutations("abc", 2):
-        assert tally.votes[a][b] + tally.votes[b][a] == e.n
+        assert votes[a][b] + votes[b][a] == e.n
     for a in "abc":
-        assert tally.votes[a][a] == 0
+        assert votes[a][a] == 0
 
 
 def test_condorcet_winner_cases(cycle, unanimous):
