@@ -19,7 +19,6 @@ from pathlib import Path
 
 from .elections import DodgsonTriple, Election, parse_election, serialize_election
 from .gadgets import (
-    TwoERInstance,
     build_merge,
     build_parity_combiner,
     build_reduction,
@@ -29,6 +28,7 @@ from .gadgets import (
 from .matching import parse_matching
 from .scoring import (
     DEFAULT_ORACLE_CAP,
+    _ladder,
     all_scores,
     is_winner,
     ranks_at_least,
@@ -143,10 +143,11 @@ def _cmd_score(args) -> int:
         verdict = score_decision(triple, args.at_most)
         return _decide({"command": "score", "candidate": args.candidate,
                         "at_most": args.at_most, "decision": verdict}, verdict, args.json)
-    result = score_exact(triple)
-    lines = [f"score: {result.score}"]
-    payload = {"command": "score", "candidate": args.candidate, "score": result.score}
-    if args.witness:
+    result = score_exact(triple) if args.witness else None
+    score = result.score if result else _ladder(triple)[0]
+    lines = [f"score: {score}"]
+    payload = {"command": "score", "candidate": args.candidate, "score": score}
+    if result:
         lines.append("witness: " + " ".join(map(str, result.witness)))
         payload["witness"] = list(result.witness)
     _emit(payload, lines, args.json)
@@ -239,13 +240,12 @@ def _reduce_merge(kind: str, inputs: list[str]):
     if len(inputs) != 2:
         raise ValueError(f"reduce {kind} takes exactly two file:candidate inputs")
     try:
-        pair = TwoERInstance(*map(_load_triple, inputs))
+        instance, info = build_merge(*map(_load_triple, inputs))
     except ValueError:  # the 2er kinds map invalid pairs to the sentinel
         if kind.startswith("merge"):
             raise
         return ({}, {"kind": kind, "sentinel": True}, {"sentinel": True},
                 "sentinel (input is not a valid two-election instance)")
-    instance, info = build_merge(pair.left, pair.right)
     election = instance.election
     summary = _size(election)
     if kind in ("merge", "2er-to-ranking"):

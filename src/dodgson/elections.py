@@ -36,10 +36,9 @@ _FORBIDDEN_CHARS = frozenset("<#:")
 
 
 class ParseError(ValueError):
-    """Malformed textual input, carrying the offending 1-based line number."""
+    """Malformed textual input; the message names the offending 1-based line."""
 
     def __init__(self, message: str, line: int | None = None):
-        self.line = line
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
@@ -70,10 +69,6 @@ class PreferenceOrder:
             raise ValueError("empty preference order")
         if len(set(self.ranking)) != len(self.ranking):
             raise ValueError(f"duplicate candidate in order {'<'.join(self.ranking)!r}")
-
-    @classmethod
-    def from_string(cls, text: str) -> "PreferenceOrder":
-        return cls(tuple(part.strip() for part in text.split("<")))
 
     def __str__(self) -> str:
         return "<".join(self.ranking)

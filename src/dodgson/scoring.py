@@ -35,7 +35,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import inf
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Container, NamedTuple, Sequence
 
 from .elections import DodgsonTriple, Election, VoterProfile, deficit_vector, majority_threshold
 from .gadgets import TwoERInstance
@@ -132,7 +132,9 @@ class _CoverSearch:
     without backtracking.  Only options with no cover within budget go and
     the options keep their order, so scores and witnesses are those of the
     plain search; a search that meets its cover without backtracking never
-    checks.  A frame that fails leaves its budget left in the memo.
+    checks.  A frame that fails leaves its budget left in the memo.  A pool
+    time below is one in-process run of its stored benchmark ops, 5 s limit
+    per op (Python 3.11, 2 shared cores).
     """
 
     def __init__(self, problem: _CoverProblem):
@@ -212,7 +214,7 @@ class _CoverSearch:
                 continue
             mine = own[x]
             if need > slack:
-                # efficient supply; without it the crowd pool took 2.4 s, not 0.7 s
+                # efficient supply; without it the crowd pool took 2.0 s, not 0.5 s
                 where, cum = self.free[x]
                 free = cum[-1] - cum[bisect_right(where, g)] + (avail if mine and mine[1] else 0)
                 if rsum + need - free > best:
@@ -318,8 +320,8 @@ class _CoverSearch:
                 if head[u]:
                     break
             u = v
-            # the backward walk; without it the gadget pool took 12 s, not 5 s, and the
-            # crowd pool 12.6 s, not 0.7 s, with 4 ops past 3 s
+            # the backward walk; without it the gadget pool took 11.4 s, not 3.2 s, and
+            # the crowd pool 20.5 s, not 0.5 s, with 4 crowd-14 ops past 5 s
             while lo[u] < low:
                 x = opp[u]
                 slo[x] += low - lo[u]
@@ -385,10 +387,10 @@ class _CoverSearch:
         g, j = self.layers[layer]
         grp = self.problem.groups[g]
         if avail == 1:
-            # without single-copy frames the gadget pool took 12 s, not 5 s
+            # without single-copy frames the gadget pool took 10.3 s, not 3.2 s
             return [layer, 1, state, rsum, left, j - 1, len(grp.coords), None]
         tail = grp.coords[j - 1:]
-        # without this lower count the crowd pool took 1.7 s, not 0.7 s
+        # without this lower count the crowd pool took 1.2 s, not 0.5 s
         lo = max(0, max(state[x] - self.supply_after(g, x) for x in tail))
         hi = min(avail, max(state[x] for x in tail))
         return [layer, avail, state, rsum, left, lo, hi, None]
@@ -540,10 +542,11 @@ def _lp_weights(problem: _CoverProblem) -> tuple[list[int], int]:
     one row  sum of y_x over the opponents passed at level k - u_t <= cost_k
     per distinct voter type t = (costs, coords) and level k >= 1; copies of
     one type, in any group, share one u_t.  The costs are >= 0, so the origin
-    is a feasible basis and a dense Tucker tableau needs no first phase.  The
-    tableau is fraction-free (Bareiss 1968): each entry is its value times d,
-    the last pivot, and every division is exact.  So Bland's rule ends, with
-    no pivot cap, and ⌈L(y / d)⌉ is ⌈LP⌉.
+    is a feasible basis and a dense Tucker tableau needs no first phase; every
+    deficit can be covered, so the dual is bounded and a ratio row always
+    exists.  The tableau is fraction-free (Bareiss 1968): each entry is its
+    value times d, the last pivot, and every division is exact.  So Bland's
+    rule ends, with no pivot cap, and ⌈L(y / d)⌉ is ⌈LP⌉.
     """
     types: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
     for grp in problem.groups:
@@ -573,8 +576,6 @@ def _lp_weights(problem: _CoverProblem) -> tuple[list[int], int]:
             if a > 0 and (r is None or
                           (rows[i][n] * rows[r][s], basic[i]) < (rows[r][n] * a, basic[r])):
                 r = i
-        if r is None:
-            break  # unbounded; cannot happen, as every deficit can be covered
         pivot, p = rows[r], rows[r][s]
         for i, row in enumerate(rows):
             f = row[s]
@@ -587,8 +588,8 @@ def _lp_weights(problem: _CoverProblem) -> tuple[list[int], int]:
     return [rows[row_of[x]][n] if x in row_of else 0 for x in range(nx)], d
 
 
-def score_exact(triple: DodgsonTriple) -> ScoreResult:
-    """Exact Dodgson score with the lexicographically least witness achieving it.
+def _ladder(triple: DodgsonTriple) -> tuple[int, _CoverSearch | None, list[list] | None]:
+    """The Dodgson score, the search and the stack of its first cover (None at 0).
 
     The search runs at rising budgets from the root bound, one apart, sharing
     its memo.  After the second failure the ladder jumps once to ⌈LP⌉, which
@@ -598,9 +599,8 @@ def score_exact(triple: DodgsonTriple) -> ScoreResult:
     cover is the score, and its first cover the witness.
     """
     problem = _cover_problem(triple, deficit_vector(triple))
-    n = triple.election.n
     if not problem.coords:
-        return ScoreResult(0, (0,) * n)
+        return 0, None, None
     search = _CoverSearch(problem)
     layer, avail = search.entry[0]
     # Raising the designated candidate to the top of every voter is a cover,
@@ -620,13 +620,23 @@ def score_exact(triple: DodgsonTriple) -> ScoreResult:
             # pass_s went 0.143-0.167 -> 0.181-0.205 s and verdict_tail_ms
             # 1.34-1.63 -> 3.51-4.25 ms (4 pairs, seeds 41-44).
             budget = max(budget, _dual_bound(problem, *_lp_weights(problem)))
+    return budget, search, stack
+
+
+def score_exact(triple: DodgsonTriple) -> ScoreResult:
+    """Exact Dodgson score with the lexicographically least witness achieving
+    it, decoded from :func:`_ladder`'s first cover: the only per-voter step."""
+    budget, search, stack = _ladder(triple)
+    n = triple.election.n
+    if stack is None:
+        return ScoreResult(0, (0,) * n)
     # A group's copies raise in ascending order, later frames overwriting: a count
     # frame at (g, j) sends the group's last ``option`` copies to level j, a
     # single-copy frame sends its last copy to level ``option``.
     raises = [0] * n
     for frame in stack:
         g, j = search.layers[frame[0]]
-        grp = problem.groups[g]
+        grp = search.problem.groups[g]
         end = grp.flat + grp.mult
         option = frame[5] - 1
         if frame[1] == 1:
@@ -759,10 +769,7 @@ def score_oracle(triple: DodgsonTriple, cap: int = DEFAULT_ORACLE_CAP) -> int | 
 
 def all_scores(election: Election) -> dict[str, int]:
     """Exact Dodgson score of every candidate; winners are the argmin set."""
-    return {
-        name: score_exact(DodgsonTriple(election, name)).score
-        for name in election.candidates
-    }
+    return {name: _ladder(DodgsonTriple(election, name))[0] for name in election.candidates}
 
 
 def _deficit_sum_over(election: Election) -> Callable[[str, int], bool]:
@@ -794,23 +801,24 @@ def _deficit_sum_over(election: Election) -> Callable[[str, int], bool]:
     return over
 
 
+def _rival_at_most(election: Election, budget: int, skip: Container[str]) -> str | None:
+    """The first candidate not in ``skip``, in candidate order, whose score is at
+    most ``budget``, or None.  A rival whose deficit sum alone exceeds the budget
+    is refuted by :func:`_deficit_sum_over`, the others by :func:`score_decision`."""
+    over = _deficit_sum_over(election)
+    return next((name for name in election.candidates if name not in skip and not over(name, budget)
+                 and score_decision(DodgsonTriple(election, name), budget)), None)
+
+
 def is_winner(triple: DodgsonTriple) -> bool:
     """Does the designated candidate tie-or-defeat every other candidate?
 
-    Scores it exactly, then looks for a rival scoring at most one less.  A
-    rival whose deficit sum alone exceeds that is refuted by
-    :func:`_deficit_sum_over`; the others get budget-limited decisions rather
-    than full scoring, and the first rival found below ends the check.  On the
-    2,900-candidate winner reduction of one parity chain this takes 0.1 s
-    (Python 3.11, 2 shared cores).
+    Scores it exactly, then looks with :func:`_rival_at_most` for a rival
+    scoring at most one less.  On the 2,900-candidate winner reduction of one
+    parity chain this takes 0.1 s (Python 3.11, 2 shared cores).
     """
-    election = triple.election
-    own = score_exact(triple).score
-    if own == 0:
-        return True
-    over, budget = _deficit_sum_over(election), own - 1
-    return not any(not over(name, budget) and score_decision(DodgsonTriple(election, name), budget)
-                   for name in election.candidates if name != triple.designated)
+    own = _ladder(triple)[0]
+    return own == 0 or _rival_at_most(triple.election, own - 1, (triple.designated,)) is None
 
 
 def ranks_at_least(election: Election, c: str, d: str) -> bool:
@@ -820,7 +828,7 @@ def ranks_at_least(election: Election, c: str, d: str) -> bool:
             raise ValueError(f"unknown candidate {name!r}")
     if c == d:
         return True
-    own = score_exact(DodgsonTriple(election, c)).score
+    own = _ladder(DodgsonTriple(election, c))[0]
     return own == 0 or not score_decision(DodgsonTriple(election, d), own - 1)
 
 
@@ -831,7 +839,7 @@ def two_election_ranking(left: DodgsonTriple, right: DodgsonTriple) -> bool:
     candidates must differ; anything else is not a valid instance.
     """
     TwoERInstance(left, right)  # validates the pair
-    own = score_exact(left).score
+    own = _ladder(left)[0]
     return own == 0 or not score_decision(right, own - 1)
 
 

@@ -13,7 +13,7 @@ runs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .elections import (
     DodgsonTriple,
@@ -43,9 +43,9 @@ from .matching import (
     serialize_matching,
 )
 from .scoring import (
+    _rival_at_most,
     is_winner,
     ranks_at_least,
-    score_decision,
     score_exact,
     two_election_ranking,
 )
@@ -74,8 +74,8 @@ class PropertyCheck:
     name: str
     passed: bool
     checked: int
-    detail: str = ""
-    fixtures: dict[str, str] = field(default_factory=dict)
+    detail: str
+    fixtures: dict[str, str]
 
 
 def _first_failures(cases, checks) -> list[PropertyCheck]:
@@ -111,15 +111,11 @@ def random_election(rng: random.Random, candidates: tuple[str, ...], voters: int
     return Election(candidates, VoterProfile.from_orders(sorted(orders, key=str)))
 
 
-def random_triple(
-    rng: random.Random,
-    name_pool: tuple[str, ...],
-    max_candidates: int,
-    voter_choices: tuple[int, ...] = (1, 3),
-) -> DodgsonTriple:
+def random_triple(rng: random.Random, name_pool: tuple[str, ...],
+                  max_candidates: int) -> DodgsonTriple:
     count = rng.randint(1, max_candidates)
     candidates = tuple(name_pool[:count])
-    election = random_election(rng, candidates, rng.choice(voter_choices))
+    election = random_election(rng, candidates, rng.choice((1, 3)))
     return DodgsonTriple(election, rng.choice(candidates))
 
 
@@ -241,13 +237,11 @@ def verify_merge_laws(config: RunConfig) -> list[PropertyCheck]:
 
     def dominance(case):
         t1, t2, instance, merged = case
-        for other in instance.election.candidates:
-            if other in (instance.first, instance.second):
-                continue
-            if score_decision(DodgsonTriple(instance.election, other), merged[0]):
-                return (f"{other!r} scores at most {merged[0]}",
-                        _triple_fixtures("counterexample-input", t1, t2))
-        return None
+        other = _rival_at_most(instance.election, merged[0], (instance.first, instance.second))
+        if other is None:
+            return None
+        return (f"{other!r} scores at most {merged[0]}",
+                _triple_fixtures("counterexample-input", t1, t2))
 
     shaped, plus, dominant = _first_failures(merges(), [
         ("merge-shape", shape), ("merge-plus-one", plus_one), ("merge-dominance", dominance),

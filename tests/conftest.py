@@ -1,3 +1,4 @@
+import re
 import signal
 from contextlib import contextmanager
 
@@ -7,7 +8,7 @@ from dodgson import DodgsonTriple, Election, PreferenceOrder, VoterProfile
 
 
 def order(text: str) -> PreferenceOrder:
-    return PreferenceOrder.from_string(text)
+    return PreferenceOrder(tuple(text.split("<")))
 
 
 def election(candidates: str, *orders: str, mults=None) -> Election:
@@ -16,6 +17,16 @@ def election(candidates: str, *orders: str, mults=None) -> Election:
         (order(text), 1 if mults is None else mults[i]) for i, text in enumerate(orders)
     )
     return Election(names, VoterProfile(groups))
+
+
+def assert_outcome(build, expected) -> None:
+    """``build()`` raises an exception of ``expected``'s type and message, or,
+    when ``expected`` is no exception, returns it."""
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected), match=re.escape(str(expected))):
+            build()
+    else:
+        assert build() == expected
 
 
 class TimeLimitExceeded(BaseException):

@@ -106,7 +106,7 @@ def test_criterion_7_fixed_values():
     cycle = Election(
         ("a", "b", "c"),
         VoterProfile.from_orders(
-            [PreferenceOrder.from_string(text) for text in ("a<b<c", "b<c<a", "c<a<b")]
+            [PreferenceOrder(tuple(text.split("<"))) for text in ("a<b<c", "b<c<a", "c<a<b")]
         ),
     )
     if condorcet_winner(cycle) is not None:

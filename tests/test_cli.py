@@ -76,6 +76,42 @@ def test_score_at_most_on_many_voters(tmp_path, capsys):
     assert capsys.readouterr().out == "true\n"
 
 
+def test_only_the_witness_allocates_per_voter(tmp_path, capsys):
+    # 10^7 + 1 voters in two groups: every answer but the witness comes from
+    # the budget ladder, which holds nothing per voter; the witness holds
+    # 10^7 + 1 ints
+    import tracemalloc
+
+    path = tmp_path / "big.dodg"
+    path.write_text("candidates: a b c\n10000000: a<b<c\n1: c<b<a\n")
+    big = str(path)
+    answers = [
+        (["score", big, "-c", "a"], 0, "score: 10000000\n"),
+        (["ranking", big, "-c", "a", "-d", "b"], 1, "false\n"),
+        (["winner", big, "-c", "a"], 1, "false\n"),
+        (["winner", big, "-c", "c"], 0, "true\n"),
+        (["2er", f"{big}:a", f"{big}:b"], 1, "false\n"),
+        (["winner", big], 0, "a: 10000000\nb: 5000000\nc: 0\nwinners: c\n"),
+    ]
+    for argv, code, out in answers:
+        tracemalloc.start()
+        try:
+            assert main(argv) == code, argv
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().out == out
+        assert peak < 1_000_000, (argv, peak)
+    triple = DodgsonTriple(parse_election(path.read_text()), "a")
+    tracemalloc.start()
+    try:
+        witness = score_exact(triple).witness
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(witness) == 10_000_000 and peak > 8 * len(witness), peak
+
+
 def test_winner_on_merge_of_pair_and_cycle(tmp_path, capsys):
     # 49 candidates and 8 voters, every one of them scored in full
     merged = merge(

@@ -1,5 +1,4 @@
 import itertools
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,7 +15,7 @@ from dodgson import (
     serialize_election,
 )
 
-from conftest import chain_triple, election, order
+from conftest import assert_outcome, chain_triple, election, order
 
 
 # --- parsing and serialization -----------------------------------------------
@@ -70,6 +69,37 @@ def test_candidate_name_rules():
     for bad in ("a b", "a<b", "a#b", "a:b", ""):
         with pytest.raises(ValueError):
             Election((bad,), VoterProfile(((PreferenceOrder((bad,)), 1),)))
+
+
+
+@pytest.mark.parametrize("build, expected", [
+    (lambda: PreferenceOrder(()), ValueError("empty preference order")),
+    (lambda: PreferenceOrder(("a", "b", "a")), ValueError("duplicate candidate in order 'a<b<a'")),
+    (lambda: order("a<b<c").raised("b", 2),
+     ValueError("cannot raise 'b' by 2: only 1 positions above it")),
+    (lambda: order("a<b<c").raised("b", 0), order("a<b<c")),
+    (lambda: VoterProfile(((order("a<b"), 0),)),
+     ValueError("voter multiplicity must be positive, got 0")),
+    (lambda: VoterProfile(()), ValueError("a profile needs at least one voter")),
+    (lambda: Election((), VoterProfile(((order("a"), 1),))),
+     ValueError("an election needs at least one candidate")),
+    (lambda: Election(("a", "a"), VoterProfile(((order("a<b"), 1),))),
+     ValueError("duplicate candidate 'a'")),
+    (lambda: election("a b", "a<b", "b"),
+     ValueError("order b is not a permutation of the candidate set")),
+    (lambda: DodgsonTriple(election("a b", "a<b"), "z"),
+     ValueError("designated candidate 'z' is not in the election")),
+    (lambda: parse_election("candidates:\n1: a\n"), ParseError("line 1: empty candidate list")),
+    (lambda: parse_election("candidates: a b<c\n"),
+     ParseError("line 1: invalid candidate name 'b<c'")),
+    (lambda: parse_election("candidates: a b a\n"), ParseError("line 1: duplicate candidate 'a'")),
+    (lambda: parse_election("candidates: a b\n1 a<b\n"),
+     ParseError("line 2: expected '<multiplicity>: <order>'")),
+    (lambda: parse_election("# no header\n\n"), ParseError("missing 'candidates:' header")),
+])
+def test_validation_branches(build, expected):
+    # each rule of the model and the parser once
+    assert_outcome(build, expected)
 
 
 _SMALL_ORDERS = st.permutations(["a", "b", "c"]).map(lambda p: PreferenceOrder(tuple(p)))

@@ -7,6 +7,7 @@ from dodgson import (
     DodgsonTriple,
     MatchingInstance,
     RankingInstance,
+    ReducedInstance,
     Sentinel,
     TwoERInstance,
     dodgson_sum,
@@ -25,9 +26,9 @@ from dodgson import (
     two_election_ranking,
     unit_chain,
 )
-from dodgson.gadgets import build_merge, build_sum
+from dodgson.gadgets import _fresh, build_merge, build_sum
 
-from conftest import chain_triple, election, time_limit
+from conftest import assert_outcome, chain_triple, election, time_limit
 
 
 # --- normalization -------------------------------------------------------------
@@ -266,3 +267,16 @@ def test_malformed_inputs_map_to_the_sentinel():
         assert isinstance(reduce_2er_to_ranking(junk), Sentinel)
         assert isinstance(reduce_2er_to_winner(junk), Sentinel)
     assert reduce_2er_to_ranking("junk") == SENTINEL
+
+
+@pytest.mark.parametrize("build, expected", [
+    (lambda: ReducedInstance(unit_chain(3), -1), ValueError("threshold must be non-negative")),
+    (lambda: RankingInstance(unit_chain(3).election, "1", "z"),
+     ValueError("candidate 'z' is not in the election")),
+    (lambda: RankingInstance(unit_chain(3).election, "1", "1"),
+     ValueError("ranking queries need two distinct candidates")),
+    (lambda: _fresh("c", {"c", "c0"}), "c1"),
+])
+def test_validation_branches(build, expected):
+    # each rule of the instance types once
+    assert_outcome(build, expected)

@@ -1,5 +1,4 @@
 import itertools
-
 import pytest
 
 from dodgson import (
@@ -12,6 +11,8 @@ from dodgson import (
     parse_matching,
     serialize_matching,
 )
+
+from conftest import assert_outcome
 
 
 def test_canonical_instances():
@@ -99,3 +100,18 @@ def test_parse_errors_carry_line_numbers():
         parse_matching("W: w\nX: x\nY: y\nw x\n")
     with pytest.raises(ParseError, match="missing"):
         parse_matching("W: w\nX: x\n")
+
+
+@pytest.mark.parametrize("build, expected", [
+    (lambda: MatchingInstance(("w", "w"), ("x", "x2"), ("y", "y2"), ()),
+     ValueError("duplicate token within ('w', 'w')")),
+    (lambda: next(enumerate_instances(0, (1, 1))), ValueError("q must be positive, got 0")),
+    (lambda: parse_matching("# a comment\nW: w\nX: x\nY: y\nw x y  # the triple\n").triples,
+     (("w", "x", "y"),)),
+    (lambda: parse_matching("W: w\nX:\nY: y\n"), ParseError("line 2: empty token list for X")),
+    (lambda: parse_matching("W: w\nX: w\nY: y\n"), ParseError("W, X and Y must be disjoint")),
+])
+def test_validation_branches(build, expected):
+    # each rule of the instance, the enumerator and the parser once; an
+    # invalid parsed instance is a ParseError
+    assert_outcome(build, expected)

@@ -129,7 +129,7 @@ def test_oracle_cap_edges_match_reference():
 
 def test_oracle_cap_zero_on_a_condorcet_winner():
     e = Election(tuple("abc"), VoterProfile.from_orders(
-        [PreferenceOrder.from_string(s) for s in ("a<b<c", "b<a<c", "a<c<b")]
+        [PreferenceOrder(tuple(s.split("<"))) for s in ("a<b<c", "b<a<c", "a<c<b")]
     ))
     assert condorcet_winner(e) == "c"
     t = DodgsonTriple(e, "c")

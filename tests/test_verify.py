@@ -95,7 +95,7 @@ FORCED_FAILURES = {
                      {"counterexample-input-1.dodg", "counterexample-input-2.dodg",
                       "counterexample-sum.dodg"},
                      {"sum-additivity": 2, "sum-shape": 2}),
-    "6-dominance": ("6", "score_decision", lambda _: _always(True),
+    "6-dominance": ("6", "_rival_at_most", lambda _: _always("c"),
                     "merge-dominance",
                     {"counterexample-input-1.dodg", "counterexample-input-2.dodg"},
                     {"merge-plus-one": 1, "merge-dominance": 1, "merge-shape": 1}),
