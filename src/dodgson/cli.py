@@ -97,9 +97,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("score", help="Dodgson score of one candidate")
     p.add_argument("file")
     p.add_argument("-c", "--candidate", required=True)
-    p.add_argument("--at-most", type=int, default=None, metavar="K",
-                   help="decide Score <= K instead of computing the score")
-    p.add_argument("--witness", action="store_true", help="also print a witness allocation")
+    mode = p.add_mutually_exclusive_group()  # a decision has no witness to print
+    mode.add_argument("--at-most", type=int, default=None, metavar="K",
+                      help="decide Score <= K instead of computing the score")
+    mode.add_argument("--witness", action="store_true", help="also print a witness allocation")
 
     p = sub.add_parser("winner", help="Dodgson winners, or one candidate's winner status")
     p.add_argument("file")
@@ -149,7 +150,7 @@ def _cmd_score(args) -> int:
     payload = {"command": "score", "candidate": args.candidate, "score": score}
     if result:
         lines.append("witness: " + " ".join(map(str, result.witness)))
-        payload["witness"] = list(result.witness)
+        payload["witness"] = result.witness  # a tuple encodes as the same array
     _emit(payload, lines, args.json)
     return EXIT_OK
 

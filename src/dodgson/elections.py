@@ -1,5 +1,5 @@
-"""Core election model: strict preference orders, voter multisets, pairwise
-tallies, Condorcet tests, and raises by adjacent switches.
+"""Core election model: preference orders, voter multisets, triples, 2ER pairs,
+pairwise tallies, Condorcet tests, and raises by adjacent switches.
 
 A preference order is stored ascending: index 0 holds the least preferred
 candidate and the last entry the favourite, so ``a<b<c`` means c is liked
@@ -23,6 +23,7 @@ __all__ = [
     "VoterProfile",
     "Election",
     "DodgsonTriple",
+    "TwoERInstance",
     "check_name",
     "majority_threshold",
     "pairwise_tally",
@@ -170,6 +171,26 @@ class DodgsonTriple:
         return self.election.n
 
 
+def _require_odd(triple: DodgsonTriple, what: str) -> None:
+    if triple.election.n % 2 == 0:
+        raise ValueError(f"{what} must have an odd number of voters, got {triple.election.n}")
+
+
+@dataclass(frozen=True)
+class TwoERInstance:
+    """A pair of odd-voter triples with distinct designated candidates; the
+    question is whether the left score is at most the right score."""
+
+    left: DodgsonTriple
+    right: DodgsonTriple
+
+    def __post_init__(self):
+        _require_odd(self.left, "left election")
+        _require_odd(self.right, "right election")
+        if self.left.designated == self.right.designated:
+            raise ValueError("designated candidates must differ")
+
+
 def pairwise_tally(election: Election) -> dict[str, dict[str, int]]:
     """votes[a][b] = number of voters strictly preferring a to b (votes[a][a] = 0)."""
     votes = {a: {b: 0 for b in election.candidates} for a in election.candidates}
@@ -213,8 +234,8 @@ def parse_election(text: str) -> Election:
 
     Line 1: ``candidates: <name> <name> ...``.  Every further non-blank line
     is ``<multiplicity>: <name><<name><...`` giving one voter group in
-    ascending preference.  ``#`` starts a comment.  The designated candidate
-    is never part of the file; callers supply it separately.
+    ascending preference, the multiplicity in ASCII digits.  ``#`` starts a
+    comment; callers supply the designated candidate, never in the file.
     """
     header: tuple[str, ...] | None = None
     header_set: set[str] = set()
@@ -243,10 +264,10 @@ def parse_election(text: str) -> Election:
         mult_text, sep, order_text = line.partition(":")
         if not sep:
             raise ParseError("expected '<multiplicity>: <order>'", lineno)
-        try:
-            mult = int(mult_text.strip())
-        except ValueError:
-            raise ParseError(f"bad multiplicity {mult_text.strip()!r}", lineno) from None
+        mult_text = mult_text.strip()
+        if not (mult_text.isascii() and mult_text.isdigit()):  # int() takes '+', '_', '١'
+            raise ParseError(f"bad multiplicity {mult_text!r}", lineno)
+        mult = int(mult_text)
         if mult <= 0:
             raise ParseError(f"multiplicity must be positive, got {mult}", lineno)
         tokens = [tok.strip() for tok in order_text.strip().split("<")]

@@ -16,7 +16,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .elections import DodgsonTriple, Election, PreferenceOrder, VoterProfile
+from .elections import (DodgsonTriple, Election, PreferenceOrder, TwoERInstance, VoterProfile,
+                        _require_odd)
 from .matching import CANONICAL_NO, CANONICAL_YES, MatchingInstance, has_matching
 
 __all__ = [
@@ -41,11 +42,6 @@ __all__ = [
 ]
 
 
-def _require_odd(triple: DodgsonTriple, what: str) -> None:
-    if triple.election.n % 2 == 0:
-        raise ValueError(f"{what} must have an odd number of voters, got {triple.election.n}")
-
-
 @dataclass(frozen=True)
 class ReducedInstance:
     """A score-decision instance: triple plus the threshold its score is
@@ -58,21 +54,6 @@ class ReducedInstance:
         _require_odd(self.triple, "a reduced instance")
         if self.threshold < 0:
             raise ValueError("threshold must be non-negative")
-
-
-@dataclass(frozen=True)
-class TwoERInstance:
-    """A pair of odd-voter triples with distinct designated candidates; the
-    question is whether the left score is at most the right score."""
-
-    left: DodgsonTriple
-    right: DodgsonTriple
-
-    def __post_init__(self):
-        _require_odd(self.left, "left election")
-        _require_odd(self.right, "right election")
-        if self.left.designated == self.right.designated:
-            raise ValueError("designated candidates must differ")
 
 
 @dataclass(frozen=True)

@@ -37,8 +37,8 @@ from dataclasses import dataclass
 from math import inf
 from typing import Callable, Container, NamedTuple, Sequence
 
-from .elections import DodgsonTriple, Election, VoterProfile, deficit_vector, majority_threshold
-from .gadgets import TwoERInstance
+from .elections import (DodgsonTriple, Election, TwoERInstance, VoterProfile, deficit_vector,
+                        majority_threshold, pairwise_tally)
 
 __all__ = [
     "DEFAULT_ORACLE_CAP",
@@ -715,17 +715,15 @@ def score_oracle(triple: DodgsonTriple, cap: int = DEFAULT_ORACLE_CAP) -> int | 
             moves[oid] = found
         return found
 
-    start_orders = [tuple(index[x] for x in order.ranking) for order in election.profile.orders()]
-    start_above = [0] * size
-    for order in start_orders:
-        for d in order[: order.index(c)]:
-            start_above[d] += 1
+    beaten = pairwise_tally(election)[triple.designated]  # counted on groups, not voters
+    start_above = [beaten[name] for name in election.candidates]
     h0 = sum(max(0, need - start_above[d]) for d in range(size) if d != c)
     if h0 == 0:
         return 0
     if h0 > cap:
-        return None
-    start = tuple(sorted(intern(order) for order in start_orders))
+        return None  # decided before anything is held per voter
+    start = tuple(sorted(intern(tuple(index[x] for x in order.ranking))
+                         for order in election.profile.orders()))
     best = {start: h0}  # least f seen per state
     tallies: dict[tuple[int, ...], tuple[int, ...]] = {}
     buckets = {h0: [(start, tuple(start_above), h0)]}

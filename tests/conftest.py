@@ -1,3 +1,5 @@
+import itertools
+import random
 import re
 import signal
 from contextlib import contextmanager
@@ -16,6 +18,21 @@ def election(candidates: str, *orders: str, mults=None) -> Election:
     groups = tuple(
         (order(text), 1 if mults is None else mults[i]) for i, text in enumerate(orders)
     )
+    return Election(names, VoterProfile(groups))
+
+
+def impartial_culture(m: int, n: int, seed: str, landslide: float) -> Election:
+    """Seeded impartial-culture profile over the first ``m`` of a..f, grouped
+    by order; a ``landslide`` share of the voters copies one seeded order."""
+    names = tuple("abcdef"[:m])
+    perms = list(itertools.permutations(names))
+    rng = random.Random(seed)
+    counts = [0] * len(perms)
+    copies = int(n * landslide)
+    counts[rng.randrange(len(perms))] += copies
+    for _ in range(n - copies):
+        counts[rng.randrange(len(perms))] += 1
+    groups = tuple((PreferenceOrder(p), c) for p, c in zip(perms, counts) if c)
     return Election(names, VoterProfile(groups))
 
 

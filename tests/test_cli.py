@@ -92,6 +92,8 @@ def test_only_the_witness_allocates_per_voter(tmp_path, capsys):
         (["winner", big, "-c", "c"], 0, "true\n"),
         (["2er", f"{big}:a", f"{big}:b"], 1, "false\n"),
         (["winner", big], 0, "a: 10000000\nb: 5000000\nc: 0\nwinners: c\n"),
+        # the oracle compares the deficit sum with its cap on the groups
+        (["oracle", big, "-c", "a"], 0, "unknown (cap 20 exceeded)\n"),
     ]
     for argv, code, out in answers:
         tracemalloc.start()
@@ -361,6 +363,20 @@ def test_flags_a_command_does_not_read_are_rejected(command, flag, capsys):
         main(QUERIES[command] + [flag, "1"])
     assert exit_info.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--at-most", "1", "--witness"],
+    ["--witness", "--at-most", "1"],
+])
+def test_score_decision_takes_no_witness_flag(flags, capsys):
+    # a decision prints no witness, so the pair is refused, not half obeyed
+    with pytest.raises(SystemExit) as exit_info:
+        main(QUERIES["score"] + flags)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not allowed with argument" in captured.err
 
 
 # --- golden outputs of every reduce kind -------------------------------------

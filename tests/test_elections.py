@@ -96,6 +96,19 @@ def test_candidate_name_rules():
     (lambda: parse_election("candidates: a b\n1 a<b\n"),
      ParseError("line 2: expected '<multiplicity>: <order>'")),
     (lambda: parse_election("# no header\n\n"), ParseError("missing 'candidates:' header")),
+    (lambda: parse_election("candidates: a b\n0: a<b\n"),
+     ParseError("line 2: multiplicity must be positive, got 0")),
+    (lambda: parse_election("candidates: a b\n007: a<b\n").n, 7),
+    (lambda: parse_election("candidates: a b\n\uff11: a<b\n"),
+     ParseError("line 2: bad multiplicity '\uff11'")),
+    (lambda: parse_election("candidates: a b\n\u0663: a<b\n"),
+     ParseError("line 2: bad multiplicity '\u0663'")),
+    (lambda: parse_election("candidates: a b c\n1_000: a<b<c\n+3: c<b<a\n"),
+     ParseError("line 2: bad multiplicity '1_000'")),
+    (lambda: parse_election("candidates: a b\n1: a<b\n+3: b<a\n"),
+     ParseError("line 3: bad multiplicity '+3'")),
+    (lambda: parse_election("candidates: a b\n-3: a<b\n"),
+     ParseError("line 2: bad multiplicity '-3'")),
 ])
 def test_validation_branches(build, expected):
     # each rule of the model and the parser once

@@ -31,7 +31,7 @@ from dodgson import (
 from dodgson import scoring
 from dodgson.scoring import _CoverSearch, _cover_problem, _dual_bound, _lp_weights
 
-from conftest import election, time_limit
+from conftest import election, impartial_culture, time_limit
 
 
 def triple(e: Election, name: str) -> DodgsonTriple:
@@ -485,26 +485,11 @@ def test_merge_separator_scores_its_deficit_sum(cycle):
         assert score_exact(t).score == 168
 
 
-def _impartial_culture(m: int, n: int, seed: str, landslide: float) -> Election:
-    """Seeded impartial-culture profile over the first ``m`` of a..f, grouped
-    by order; a ``landslide`` share of the voters copies one seeded order."""
-    names = tuple("abcdef"[:m])
-    perms = list(itertools.permutations(names))
-    rng = random.Random(seed)
-    counts = [0] * len(perms)
-    copies = int(n * landslide)
-    counts[rng.randrange(len(perms))] += copies
-    for _ in range(n - copies):
-        counts[rng.randrange(len(perms))] += 1
-    groups = tuple((PreferenceOrder(p), c) for p, c in zip(perms, counts) if c)
-    return Election(names, VoterProfile(groups))
-
-
 def test_six_candidates_score_their_deficit_sum_within_time():
     # 1,001 voters in 483 groups.  The score meets the deficit-sum bound, yet
     # a search with one layer per voter copy does not find it within 100 s
     # (reference from the Bartholdi-Tovey-Trick integer program).
-    e = _impartial_culture(6, 1001, "crowd:2", 0.192)
+    e = impartial_culture(6, 1001, "crowd:2", 0.192)
     t = triple(e, "e")
     assert sum(deficit_vector(t).values()) == 283
     with time_limit(10):
@@ -518,7 +503,7 @@ def test_six_candidates_score_their_deficit_sum_within_time():
 def test_hundred_thousand_voters_score_within_time():
     # 100,001 voters over 4 candidates (reference from the Bartholdi-Tovey-
     # Trick integer program)
-    e = _impartial_culture(4, 100_001, "crowd:19", 0.206)
+    e = impartial_culture(4, 100_001, "crowd:19", 0.206)
     t = triple(e, "c")
     with time_limit(10):
         assert score_exact(t).score == 30438
@@ -982,6 +967,22 @@ def test_scoring_runs_on_integers_only():
               and node.func.id in ("float", "round")):
             floats.append((node.lineno, f"{node.func.id}()"))
     assert not floats, floats
+
+
+def test_scoring_imports_only_the_election_model():
+    # the solver stands on the model alone: the 2ER pair rule lives in
+    # elections.py, so scoring.py needs neither the gadgets nor matching
+    import ast
+    import inspect
+
+    modules = set()
+    for node in ast.walk(ast.parse(inspect.getsource(scoring))):
+        if isinstance(node, ast.ImportFrom):
+            modules.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+    package = {name for name in modules if name.startswith((".", "dodgson"))}
+    assert package == {".elections"}, package
 
 
 def _3dm_13_c() -> DodgsonTriple:
