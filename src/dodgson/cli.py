@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import groupby
 from pathlib import Path
 
 from .elections import DodgsonTriple, Election, parse_election, serialize_election
@@ -146,12 +147,19 @@ def _cmd_score(args) -> int:
                         "at_most": args.at_most, "decision": verdict}, verdict, args.json)
     result = score_exact(triple) if args.witness else None
     score = result.score if result else _ladder(triple)[0]
-    lines = [f"score: {score}"]
     payload = {"command": "score", "candidate": args.candidate, "score": score}
-    if result:
-        lines.append("witness: " + " ".join(map(str, result.witness)))
-        payload["witness"] = result.witness  # a tuple encodes as the same array
-    _emit(payload, lines, args.json)
+    if result is None:
+        _emit(payload, [f"score: {score}"], args.json)
+        return EXIT_OK
+    # the witness goes out one run of equal raises at a time, as a str per voter
+    # would outweigh its int; "witness" sorts after every other key
+    sep = ", " if args.json else " "
+    sys.stdout.write(json.dumps(payload, sort_keys=True)[:-1] + ', "witness": ['
+                     if args.json else f"score: {score}\nwitness: ")
+    for i, (value, run) in enumerate(groupby(result.witness)):
+        text = str(value)
+        sys.stdout.write((sep if i else "") + text + (sep + text) * (sum(1 for _ in run) - 1))
+    sys.stdout.write("]}\n" if args.json else "\n")
     return EXIT_OK
 
 

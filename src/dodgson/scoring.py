@@ -140,6 +140,8 @@ class _CoverSearch:
     def __init__(self, problem: _CoverProblem):
         self.problem = problem
         groups = problem.groups
+        # (cover, L): frames that follow this cover down to layer L take its counts
+        self.proof: tuple[dict[int, int] | None, int] = (None, -1)
         # (layer, copies available, residual) -> the budget left at which a
         # frame there found no cover; the only record ``_MEMO_CAP`` caps.
         self.failed: dict[tuple[int, int, tuple[int, ...]], int] = {}
@@ -191,7 +193,8 @@ class _CoverSearch:
           F_x over S and the single opponents imply every set.  It is
           computed only where it can exceed ``left``;
         * per opponent x, the cost of its r_x cheapest passes (each copy
-          passes x at most once); inf when fewer than r_x copies can.
+          passes x at most once), bucket by bucket in ascending cost until
+          r_x are met; inf when fewer than r_x copies can.
 
         Stops early once the bound exceeds ``left``.
         """
@@ -201,6 +204,7 @@ class _CoverSearch:
         if prior is not None and left <= prior:
             return prior + 1
         g, j = self.layers[layer]
+        passes, waste_free = self.passes, self.free
         rsum = sum(state)
         best = rsum
         slack = left - rsum
@@ -214,27 +218,28 @@ class _CoverSearch:
                 continue
             mine = own[x]
             if need > slack:
-                # efficient supply; without it the crowd pool took 2.0 s, not 0.5 s
-                where, cum = self.free[x]
+                # efficient supply; without it the crowd pool took 1.7 s, not 0.5 s
+                where, cum = waste_free[x]
                 free = cum[-1] - cum[bisect_right(where, g)] + (avail if mine and mine[1] else 0)
                 if rsum + need - free > best:
                     best = rsum + need - free
+            paid = mine[0] if mine else inf  # the group's own copies, at the level below this layer
             total = 0
-            for cost, (where, cum) in self.passes[x]:
-                if mine and mine[0] <= cost:
-                    # the group's own copies, at the level below this layer; with
-                    # min() here and a dict for `own`, `lower` ran 25% slower on gadgets
+            for cost, (where, cum) in passes[x]:
+                if paid <= cost:
+                    # with min() here and a dict for `own`, `lower` ran 25% slower on gadgets
                     if need <= avail:
-                        total += need * mine[0]
+                        total += need * paid
                         break
-                    total += avail * mine[0]
+                    total += avail * paid
                     need -= avail
-                    mine = None
-                take = min(need, cum[-1] - cum[bisect_right(where, g)])
-                total += take * cost
-                need -= take
-                if not need:
+                    paid = inf
+                supply = cum[-1] - cum[bisect_right(where, g)]
+                if need <= supply:
+                    total += need * cost
                     break
+                total += supply * cost
+                need -= supply
             else:
                 return inf  # fewer than r_x copies can pass x
             if total > best:
@@ -262,12 +267,13 @@ class _CoverSearch:
             k += 1
         return coords[j - 1:k - 1]
 
-    def exact_fit(self, layer: int, avail: int, state: tuple[int, ...],
-                  low: int = 0, high: float = inf) -> dict[int, int] | None:
+    def exact_fit(self, layer: int, avail: int, state: tuple[int, ...], low: int = 0,
+                  high: float = inf, cap: tuple[int, int] | None = None) -> dict[int, int] | None:
         """Copies from ``layer`` on passing each opponent x exactly ``state[x]``
         times at one switch per pass, with the option at ``layer`` in [``low``,
         ``high``], as ``{layer: copies reaching its level}`` (non-zero counts
-        only), or None.  Not cached: the frame follows it.
+        only), or None.  Not cached: the frame follows it.  With more than one
+        copy, ``cap`` = (L, most) holds the count at layer L of its run to ``most``.
 
         A variable counts the copies of a run that reach one of its waste-free
         levels; the runs, laid out on each call, are this layer's ``avail``
@@ -278,15 +284,20 @@ class _CoverSearch:
         Bounds propagate to a fixpoint, then one count of the opponent with
         the fewest free counts is split in two, as Algorithm X branches on its
         most constrained column; only an opponent's bound sums leaving its
-        residual refute a node.
+        residual refute a node.  A node keeps each opponent's number of free
+        counts, which the branch scans, and a bound on its widest count: a
+        count narrows only when wider than its opponent's gap, the residual's
+        distance to the nearer bound sum, so settle skips an opponent whose
+        bound is within it.
         """
         g, j = self.layers[layer]
         runs = [((layer, avail), self.run_from(g, j))]
         runs += zip(self.entry[g + 1:], self.waste_free[g + 1:])
         # counts in run order: each one's layer, opponent, whether it starts a run
         # (with an end marker) and upper bound, the run's copies or the count before
-        # cut by the residual; of[x]: opponent x's counts, shi[x]: their bounds' sum
-        where, opp, head, hi, shi = [], [], [], [], [0] * len(state)
+        # cut by the residual; of[x]: opponent x's counts, shi[x]: their bounds' sum,
+        # nfree[x]: how many are free (lo < hi), wide[x]: a bound on their widths
+        where, opp, head, hi, shi, nfree = [], [], [], [], [0] * len(state), [0] * len(state)
         of: list[list[int]] = [[] for _ in state]
         for (first, top), xs in runs:
             for i, x in enumerate(xs):
@@ -298,6 +309,8 @@ class _CoverSearch:
                     top = state[x]  # with min() here the checks of 3dm-12 `t` took 24% longer
                 hi.append(top)
                 shi[x] += top
+                if top:
+                    nfree[x] += 1
         head.append(True)
 
         def tighten(node, v, low, high, dirty):
@@ -309,46 +322,54 @@ class _CoverSearch:
             lo[v]; a split keeps a non-empty half.  So the forward walk meets
             only lo <= high, and the backward walk only hi >= low.
             """
-            lo, hi, slo, shi = node
+            lo, hi, slo, shi, nfree, _ = node
             u = v
             while hi[u] > high:
                 x = opp[u]
                 shi[x] += high - hi[u]
                 hi[u] = high
+                if lo[u] == high:
+                    nfree[x] -= 1
                 dirty.add(x)
                 u += 1
                 if head[u]:
                     break
             u = v
-            # the backward walk; without it the gadget pool took 11.4 s, not 3.2 s, and
-            # the crowd pool 20.5 s, not 0.5 s, with 4 crowd-14 ops past 5 s
+            # the backward walk; stopping at v, the gadget pool took 5.4 s, not 2.2 s,
+            # and the crowd pool 20.7 s, not 0.5 s, with 4 crowd-14 ops past 5 s
             while lo[u] < low:
                 x = opp[u]
                 slo[x] += low - lo[u]
                 lo[u] = low
+                if hi[u] == low:
+                    nfree[x] -= 1
                 dirty.add(x)
                 if head[u]:
                     break
                 u -= 1
 
         def settle(node, dirty):
-            lo, hi, slo, shi = node
+            lo, hi, slo, shi, _, wide = node
             while dirty:
                 x = dirty.pop()
                 need, low, high = state[x], slo[x], shi[x]
                 if not low <= need <= high:
                     return False
-                for v in of[x]:
-                    a, b = need - high + hi[v], need - low + lo[v]
-                    if a > lo[v] or b < hi[v]:
-                        tighten(node, v, a, b, dirty)
+                gap = min(high - need, need - low)
+                if wide[x] > gap:
+                    for v in of[x]:
+                        if hi[v] - lo[v] > gap:
+                            tighten(node, v, need - high + hi[v], need - low + lo[v], dirty)
+                    wide[x] = gap  # a narrowed count is now at most gap wide
             return True
 
         # the option's limits (count, least, most), checked so that no range empties
         n = len(runs[0][1])
         limits = ([(0, low, high)] if avail > 1 else
                   [(max(low - j, 0), int(low >= j), 1), (high + 1 - j, 0, 0)])
-        node = [[0] * len(opp), hi, [0] * len(state), shi]
+        if cap is not None:
+            limits.append((cap[0] - layer, 0, cap[1]))
+        node = [[0] * len(opp), hi, [0] * len(state), shi, nfree, list(state)]
         dirty = set(range(len(state)))
         for v, least, most in limits:
             if least > (hi[v] if v < n else 0):
@@ -360,12 +381,11 @@ class _CoverSearch:
             *node, dirty = todo.pop()
             if not settle(node, dirty):
                 continue
-            lo, hi = node[0], node[1]
-            free = min((f for vs in of if (f := [v for v in vs if lo[v] < hi[v]])),
-                       key=len, default=None)
-            if free is None:
+            lo, hi, nfree = node[0], node[1], node[4]
+            fewest = min(filter(None, nfree), default=0)
+            if not fewest:
                 return {where[v]: count for v, count in enumerate(lo) if count}
-            v = free[-1]
+            v = next(v for v in reversed(of[nfree.index(fewest)]) if lo[v] < hi[v])
             mid = (lo[v] + hi[v]) // 2
             for half, low, high in (([p[:] for p in node], mid + 1, hi[v]), (node, lo[v], mid)):
                 dirty = set()
@@ -387,10 +407,10 @@ class _CoverSearch:
         g, j = self.layers[layer]
         grp = self.problem.groups[g]
         if avail == 1:
-            # without single-copy frames the gadget pool took 10.3 s, not 3.2 s
+            # without single-copy frames the gadget pool took 6.6 s, not 2.2 s
             return [layer, 1, state, rsum, left, j - 1, len(grp.coords), None]
         tail = grp.coords[j - 1:]
-        # without this lower count the crowd pool took 1.2 s, not 0.5 s
+        # without this lower count the crowd pool took 1.0 s, not 0.5 s
         lo = max(0, max(state[x] - self.supply_after(g, x) for x in tail))
         hi = min(avail, max(state[x] for x in tail))
         return [layer, avail, state, rsum, left, lo, hi, None]
@@ -410,7 +430,11 @@ class _CoverSearch:
         A cover with option o is given or found over all the options left.
         Whether one has its option in [next, m] only turns true as m grows, so
         after a check of [next, o - 1] a bisection finds the least: a hit
-        lowers o to its cover's option, a miss moves next past m.
+        lowers o to its cover's option, a miss moves next past m.  Counts
+        never rise along a run, so where a count frame's cover keeps count
+        o >= 2 at the next layers of its run, a miss of one check from next
+        with the deepest of those counts at most o - 1 shows that they all
+        take o, unchecked.
         """
         layer, avail, state, _, _, low, hi = frame[:7]
         if cover is None:
@@ -420,9 +444,24 @@ class _CoverSearch:
                 return
         o = self.option(frame, cover)
         # most least options are o, so [low, o - 1] is checked whole first: bisecting
-        # from the start took 2,811 gadget-pool checks, not 1,474; only whole checks
-        # took 130 on crowd-14 `b`, not 11
+        # from the start took 2,941 gadget-pool checks, not 1,680; only whole checks
+        # took 132 on crowd-14 `b`, not 13
         m = o - 1
+        proved, deepest = self.proof
+        if cover is proved and layer <= deepest:
+            m = low - 1  # a frame above proved it
+        elif avail > 1 and o > 1:
+            g, j = self.layers[layer]
+            deep, end = layer, layer + len(self.run_from(g, j))
+            while deep + 1 < end and cover.get(deep + 1) == o:
+                deep += 1
+            if deep > layer:
+                found = self.exact_fit(layer, avail, state, low, o, (deep, o - 1))
+                if found is None:
+                    self.proof, m = (cover, deep), low - 1
+                else:
+                    cover, o = found, self.option(frame, found)
+                    m = o - 1
         while low <= m:
             found = self.exact_fit(layer, avail, state, low, m)
             if found is None:
@@ -491,7 +530,7 @@ class _CoverSearch:
                     child = self.frame(nlayer, navail, nstate, nrsum, left - ocost)
                     if frame[7] is not None:
                         # the child narrows this cover; left to find their own, children
-                        # took 2,001 gadget-pool checks, not 1,474 (3dm-8 `s` 42, not 27)
+                        # took 2,399 gadget-pool checks, not 1,680 (3dm-8 `s` 42, not 28)
                         self.least_fit(child, frame[7])
                     break
             frame[5] = k
@@ -505,7 +544,8 @@ class _CoverSearch:
                 parent = stack[-1]
                 # checked here, not as a bound in `lower` (20 crowd timeouts) nor on each
                 # new zero-slack frame (sum-8's ops 0.2-1.0 -> 1.1-6.4 ms, 8 crowd ops
-                # over 5 s); a frame following a cover never gets here
+                # over 5 s), both measured on earlier trees; a frame following a
+                # cover never gets here
                 if parent[3] == parent[4] and parent[5] <= parent[6]:
                     self.least_fit(parent)
         return None

@@ -114,6 +114,57 @@ def test_only_the_witness_allocates_per_voter(tmp_path, capsys):
     assert sum(witness) == 10_000_000 and peak > 8 * len(witness), peak
 
 
+def test_witness_output_is_the_joined_witness(tmp_path, capsys):
+    # score --witness writes the witness one run of equal raises at a time;
+    # its bytes are those of the whole witness joined, in text and in --json,
+    # on the CI's merge separators and on seeded grouped files
+    from conftest import impartial_culture
+
+    m2a = parse_election("candidates: a1 a2 a3\n1: a1<a2<a3\n1: a2<a1<a3\n1: a3<a1<a2\n")
+    m2z = parse_election("candidates: z1 z2 z3\n1: z1<z3<z2\n1: z2<z1<z3\n1: z3<z1<z2\n")
+    m2 = merge(DodgsonTriple(m2a, "a2"), DodgsonTriple(m2z, "z3")).election
+    cases = [(m2, "t1"), (m2, "t3"), (m2, "c"), (parse_election(CYCLE), "a"),
+             (parse_election(UNANIMOUS), "c")]
+    for m, n in ((3, 21), (4, 45), (5, 101)):
+        e = impartial_culture(m, n, f"witness:{m}:{n}", 0.4)
+        cases += [(e, name) for name in e.candidates]
+    for i, (e, name) in enumerate(cases):
+        path = tmp_path / f"{i}.dodg"
+        path.write_text(serialize_election(e))
+        result = score_exact(DodgsonTriple(e, name))
+        text = f"score: {result.score}\nwitness: " + " ".join(map(str, result.witness)) + "\n"
+        payload = {"candidate": name, "command": "score", "score": result.score,
+                   "witness": list(result.witness)}
+        for flags, want in (([], text), (["--json"], json.dumps(payload, sort_keys=True) + "\n")):
+            assert main(["score", str(path), "-c", name, "--witness", *flags]) == 0
+            assert capsys.readouterr().out == want, (i, name, flags)
+
+
+def test_witness_output_holds_no_str_per_voter(tmp_path, capsys):
+    # 10^6 + 1 voters in two groups: the witness itself is a tuple of one int
+    # per voter, decoded from a list of them (16 bytes per voter); writing it
+    # run by run adds no str per voter, which joining it did (about 69 bytes
+    # per voter in all)
+    import tracemalloc
+
+    path = tmp_path / "big.dodg"
+    path.write_text("candidates: a b c\n1000000: a<b<c\n1: c<b<a\n")
+    n = 1_000_001
+    for flags, head, tail in (([], "score: 1000000\nwitness: 0 ", " 0\n"),
+                              (["--json"], '{"candidate": "a", "command": "score", "score": '
+                                           '1000000, "witness": [0, ', ", 0]}\n")):
+        tracemalloc.start()
+        try:
+            with time_limit(20):
+                assert main(["score", str(path), "-c", "a", "--witness", *flags]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out = capsys.readouterr().out
+        assert out.startswith(head) and out.endswith(tail), (out[:80], out[-80:])
+        assert peak < 24 * n, (flags, peak / n)
+
+
 def test_winner_on_merge_of_pair_and_cycle(tmp_path, capsys):
     # 49 candidates and 8 voters, every one of them scored in full
     merged = merge(

@@ -561,13 +561,13 @@ def test_3dm_specials_score_within_time(monkeypatch, item, name, score):
 
 def _counting_exact_fit(monkeypatch) -> list:
     """Record the key of every exact-fit check: (search, layer, copies,
-    residual, least option, most option)."""
+    residual, least option, most option, cap on a deeper count)."""
     calls = []
     check = _CoverSearch.exact_fit
 
-    def counted(search, layer, avail, state, low=0, high=inf):
-        calls.append((id(search), layer, avail, state, low, high))
-        return check(search, layer, avail, state, low, high)
+    def counted(search, layer, avail, state, low=0, high=inf, cap=None):
+        calls.append((id(search), layer, avail, state, low, high, cap))
+        return check(search, layer, avail, state, low, high, cap)
 
     monkeypatch.setattr(_CoverSearch, "exact_fit", counted)
     return calls
@@ -586,12 +586,13 @@ def test_exact_fit_runs_once_per_key(monkeypatch, item, name):
         assert len(calls) < 60, len(calls)
 
 
-def _exact_fit_by_brute_force(search, layer, avail, state, low=0, high=inf) -> bool:
+def _exact_fit_by_brute_force(search, layer, avail, state, low=0, high=inf, cap=None) -> bool:
     """Does some waste-free allocation of the remaining copies pass every
     opponent x exactly state[x] times, with the option at ``layer`` in [low,
     high]?  Each copy stops at any level it reaches at one switch per level;
     the option is how many of this layer's copies rise at all, or with one
-    copy the level it stops at."""
+    copy the level it stops at.  With ``cap`` = (L, most), at most ``most`` of
+    this layer's copies reach the level of layer L."""
     groups = search.problem.groups
     g, j = search.layers[layer]
     runs = [(groups[g], j - 1, avail)] + [(grp, 0, grp.mult) for grp in groups[g + 1:]]
@@ -604,6 +605,8 @@ def _exact_fit_by_brute_force(search, layer, avail, state, low=0, high=inf) -> b
     for pick in itertools.product(*picks):
         option = pick[0][0] if avail == 1 else sum(top >= j for top in pick[0])
         if not low <= option <= high:
+            continue
+        if cap and sum(top > j - 1 + cap[0] - layer for top in pick[0]) > cap[1]:
             continue
         passes = [0] * len(state)
         for (grp, base, _), tops in zip(runs, pick):
@@ -664,10 +667,13 @@ def _states_after_two_layers(search):
 
 def test_exact_fit_matches_brute_force():
     # Seeded grouped profiles with 3-5 candidates and 6 voters in runs of
-    # 1-3 copies, at the root and at interior states, over all options and
-    # over a seeded range of them.  Every cover found is replayed.
+    # 1-3 copies, at the root and at interior states, over all options, over
+    # a seeded range of them, and, where several copies share a run, with a
+    # seeded cap on a deeper count of that run as well.  Every cover found
+    # is replayed.
     seen = {True: 0, False: 0}
     seen_in_range = {True: 0, False: 0}
+    seen_capped = {True: 0, False: 0}
     for i in range(60):
         rng = random.Random(f"exact-fit:{i}")
         names = tuple("abcde"[: rng.randint(3, 5)])
@@ -686,16 +692,26 @@ def test_exact_fit_matches_brute_force():
                 first, last = (j - 1, len(problem.groups[g].coords)) if avail == 1 else (0, avail)
                 low = rng.randint(first, last)
                 high = rng.randint(low, last)
-                for limits, tally in (((), seen), ((low, high), seen_in_range)):
+                cases = [((), seen), ((low, high), seen_in_range)]
+                run = len(search.run_from(g, j))
+                if avail > 1 and run > 1:
+                    # its own stream, so the draws above stay as they were
+                    deep = random.Random(f"exact-fit:{i}:{name}:{layer}:{avail}:{state}")
+                    cap = (layer + deep.randint(1, run - 1), deep.randint(0, avail - 1))
+                    cases.append(((low, high, cap), seen_capped))
+                for limits, tally in cases:
                     want = _exact_fit_by_brute_force(search, layer, avail, state, *limits)
                     cover = search.exact_fit(layer, avail, state, *limits)
                     assert (cover is not None) == want, (i, name, layer, state, limits)
                     if cover is not None:
                         option = _replay_exact_cover(search, layer, avail, state, cover)
                         assert not limits or low <= option <= high, (cover, limits)
+                        if len(limits) == 3:
+                            assert cover.get(cap[0], 0) <= cap[1], (cover, limits)
                     tally[want] += 1
     assert min(seen.values()) >= 300, seen
     assert min(seen_in_range.values()) >= 300, seen_in_range
+    assert min(seen_capped.values()) >= 100, seen_capped
 
 
 # separators of merge_prime on pair 1 of merge_corpus(seed 3, 4 trials), 78
@@ -723,6 +739,22 @@ def test_zero_slack_separators_follow_the_cover(monkeypatch, name):
         result = score_exact(t)
     assert (result.score, result.witness) == (score, witness)
     assert len(calls) < 30, len(calls)
+
+
+def test_one_check_proves_a_run_of_equal_counts(monkeypatch):
+    # A merge separator of the gadget pool (merge-5 `t12`, 54 candidates and
+    # 8 voters) whose cover keeps both copies of one group rising together
+    # through fifteen layers: one check with the deepest of those counts
+    # capped below two refutes what took fifteen checks of [0, 1], 24 in all.
+    t = _merge_separator("candidates: a1 a2 a3\n1: a2<a3<a1\n2: a3<a1<a2\n", "a1",
+                         "candidates: z1 z2 z3\n1: z2<z1<z3\n", "z1", "t12")
+    calls = _counting_exact_fit(monkeypatch)
+    with time_limit(5):
+        result = score_exact(t)
+    assert result.score == 129 == sum(deficit_vector(t).values())
+    assert result.witness == (15, 15, 15, 0, 0, 0, 42, 42)  # the least witness, as without the run proof
+    assert len(calls) <= 12, len(calls)
+    assert any(cap for *_, cap in calls), calls
 
 
 # --- the Lagrangian bound and the LP rung of the ladder ----------------------------
