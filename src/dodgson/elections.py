@@ -24,8 +24,6 @@ __all__ = [
     "Election",
     "DodgsonTriple",
     "TwoERInstance",
-    "check_name",
-    "majority_threshold",
     "pairwise_tally",
     "condorcet_winner",
     "deficit_vector",

@@ -22,7 +22,6 @@ from .matching import CANONICAL_NO, CANONICAL_YES, MatchingInstance, has_matchin
 
 __all__ = [
     "ReducedInstance",
-    "TwoERInstance",
     "RankingInstance",
     "Sentinel",
     "SENTINEL",
@@ -35,10 +34,6 @@ __all__ = [
     "merge_prime",
     "reduce_2er_to_ranking",
     "reduce_2er_to_winner",
-    "build_reduction",
-    "build_sum",
-    "build_merge",
-    "build_parity_combiner",
 ]
 
 

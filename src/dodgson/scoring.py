@@ -38,10 +38,9 @@ from math import inf
 from typing import Callable, Container, NamedTuple, Sequence
 
 from .elections import (DodgsonTriple, Election, TwoERInstance, VoterProfile, deficit_vector,
-                        majority_threshold, pairwise_tally)
+                        majority_threshold)
 
 __all__ = [
-    "DEFAULT_ORACLE_CAP",
     "ScoreResult",
     "score_exact",
     "score_decision",
@@ -755,8 +754,10 @@ def score_oracle(triple: DodgsonTriple, cap: int = DEFAULT_ORACLE_CAP) -> int | 
             moves[oid] = found
         return found
 
-    beaten = pairwise_tally(election)[triple.designated]  # counted on groups, not voters
-    start_above = [beaten[name] for name in election.candidates]
+    start_above = [0] * size  # per opponent, voters ranking the designated candidate above it
+    for order, mult in election.profile.groups:  # counted on groups, not voters
+        for name in order.ranking[:order.position(triple.designated)]:
+            start_above[index[name]] += mult
     h0 = sum(max(0, need - start_above[d]) for d in range(size) if d != c)
     if h0 == 0:
         return 0
