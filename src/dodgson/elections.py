@@ -112,7 +112,7 @@ class VoterProfile:
     @classmethod
     def from_orders(cls, orders) -> "VoterProfile":
         """Build a profile from a flat voter sequence, grouping consecutive runs."""
-        groups = tuple((order, len(list(run))) for order, run in itertools.groupby(orders))
+        groups = tuple((order, sum(1 for _ in run)) for order, run in itertools.groupby(orders))
         return cls(groups)
 
     @cached_property
@@ -205,12 +205,20 @@ def condorcet_winner(election: Election) -> str | None:
     A single-candidate election has its candidate win vacuously; exact ties
     never count as a defeat.
     """
-    votes = pairwise_tally(election)
+    ranks = [({name: i for i, name in enumerate(order.ranking)}, mult)
+             for order, mult in election.profile.groups]
     need = majority_threshold(election.n)
-    for w in election.candidates:
-        if all(votes[w][d] >= need for d in election.candidates if d != w):
-            return w
-    return None
+
+    def beats(a: str, b: str) -> bool:
+        return sum(mult for rank, mult in ranks if rank[a] > rank[b]) >= need
+
+    # A Condorcet winner beats every champion it meets and then holds the
+    # title, so only the survivor of this knockout needs the full check.
+    champion = election.candidates[0]
+    for rival in election.candidates[1:]:
+        if not beats(champion, rival):
+            champion = rival
+    return champion if all(beats(champion, d) for d in election.candidates if d != champion) else None
 
 
 def deficit_vector(triple: DodgsonTriple) -> dict[str, int]:
@@ -227,6 +235,15 @@ def deficit_vector(triple: DodgsonTriple) -> dict[str, int]:
     return {d: max(0, above[d] - spare) for d in election.candidates if d != triple.designated}
 
 
+def _lines(text: str) -> Iterator[tuple[int, str]]:
+    """(1-based line number, content) of each line that is not blank once
+    its ``#`` comment is cut."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 def parse_election(text: str) -> Election:
     """Parse the .dodg election format.
 
@@ -238,10 +255,7 @@ def parse_election(text: str) -> Election:
     header: tuple[str, ...] | None = None
     header_set: set[str] = set()
     groups: list[tuple[PreferenceOrder, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _lines(text):
         if header is None:
             key, sep, rest = line.partition(":")
             if key.strip() != "candidates" or not sep:
@@ -269,10 +283,10 @@ def parse_election(text: str) -> Election:
         if mult <= 0:
             raise ParseError(f"multiplicity must be positive, got {mult}", lineno)
         tokens = [tok.strip() for tok in order_text.strip().split("<")]
-        for tok in tokens:
-            if tok not in header_set:
-                raise ParseError(f"unknown candidate {tok!r}", lineno)
         if len(tokens) != len(header) or set(tokens) != header_set:
+            for tok in tokens:
+                if tok not in header_set:
+                    raise ParseError(f"unknown candidate {tok!r}", lineno)
             raise ParseError("order is not a permutation of the candidate set", lineno)
         groups.append((PreferenceOrder(tuple(tokens)), mult))
     if header is None:

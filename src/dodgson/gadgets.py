@@ -199,22 +199,17 @@ def _renamed_blocks(triples: Sequence[DodgsonTriple]) -> tuple[list[dict[str, st
     return maps, lists, origins
 
 
-def build_sum(triples: Sequence[DodgsonTriple]) -> tuple[DodgsonTriple, dict]:
+def build_sum(triples: Sequence[DodgsonTriple], name: str = "c") -> tuple[DodgsonTriple, dict]:
     """Combine odd-voter elections into one whose designated candidate's score
     is exactly the sum of the input scores.
 
-    The designated candidates are unified as a single fresh candidate ``c``,
-    the remaining candidate sets are made disjoint by block renaming, and a
+    The designated candidates are unified as a single fresh candidate
+    ``name``; every other candidate is a ``b{i}_*`` or an ``s{j}``.  The
+    remaining candidate sets are made disjoint by block renaming, and a
     family of separator candidates plus normalizing voters isolates each
-    block: c's standing against a block's candidates depends only on the
-    voters simulating that block.
+    block: ``name``'s standing against a block's candidates depends only on
+    the voters simulating that block.
     """
-    return _sum(triples, "c")
-
-
-def _sum(triples: Sequence[DodgsonTriple], name: str) -> tuple[DodgsonTriple, dict]:
-    """:func:`build_sum`, with the unified designated candidate called
-    ``name``.  Every other candidate is a ``b{i}_*`` or an ``s{j}``."""
     if not triples:
         raise ValueError("need at least one election to sum")
     for triple in triples:
@@ -279,8 +274,8 @@ def build_parity_combiner(inputs: Sequence[object]) -> tuple[TwoERInstance, dict
     thresholds = [r.threshold for r in reduced]
     left_chain = unit_chain(1 + sum(thresholds[1::2]))
     right_chain = unit_chain(sum(thresholds[0::2]))
-    left, left_info = _sum([r.triple for r in reduced[0::2]] + [left_chain], "c")
-    right, right_info = _sum([r.triple for r in reduced[1::2]] + [right_chain], "d")
+    left, left_info = build_sum([r.triple for r in reduced[0::2]] + [left_chain])
+    right, right_info = build_sum([r.triple for r in reduced[1::2]] + [right_chain], "d")
     instance = TwoERInstance(left, right)
     info = {
         "kind": "wagner-g",

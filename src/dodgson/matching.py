@@ -2,8 +2,8 @@
 
 An instance is three disjoint, equally sized token sets W, X, Y plus a set of
 triples drawn from their product.  The question: can the W side be covered by
-triples that pairwise disagree in every coordinate?  Desk scale only; the
-matcher is plain backtracking with coordinate-usage pruning.
+triples that pairwise disagree in every coordinate?  Desk scale only: the
+matcher tries every q-subset of the triples, C(m, q) of them.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .elections import ParseError, check_name
+from .elections import ParseError, _lines, check_name
 
 __all__ = [
     "MatchingInstance",
@@ -79,28 +79,15 @@ CANONICAL_YES = MatchingInstance(
 
 
 def has_matching(instance: MatchingInstance) -> bool:
-    """Does some q-subset of the triples cover W, X, Y without coordinate reuse?"""
-    by_w: dict[str, list[Triple]] = {w: [] for w in instance.w_items}
-    for triple in instance.triples:
-        by_w[triple[0]].append(triple)
-    used_x: set[str] = set()
-    used_y: set[str] = set()
+    """Does some q-subset of the triples cover W, X, Y without coordinate reuse?
 
-    def cover(i: int) -> bool:
-        if i == len(instance.w_items):
-            return True
-        for _, x, y in by_w[instance.w_items[i]]:
-            if x in used_x or y in used_y:
-                continue
-            used_x.add(x)
-            used_y.add(y)
-            if cover(i + 1):
-                return True
-            used_x.discard(x)
-            used_y.discard(y)
-        return False
-
-    return cover(0)
+    q triples whose coordinates are pairwise distinct cover each size-q set.
+    Tries every q-subset: desk scale.
+    """
+    return any(
+        all(len({t[i] for t in chosen}) == instance.q for i in range(3))
+        for chosen in itertools.combinations(instance.triples, instance.q)
+    )
 
 
 def _canonical_universe(q: int) -> tuple[tuple[tuple[str, ...], ...], list[Triple]]:
@@ -129,10 +116,7 @@ def parse_matching(text: str) -> MatchingInstance:
     families: dict[str, tuple[str, ...]] = {}
     expected = iter(("W", "X", "Y"))
     triples: list[Triple] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _lines(text):
         if len(families) < 3:
             label = next(expected)
             key, sep, rest = line.partition(":")

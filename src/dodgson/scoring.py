@@ -32,6 +32,7 @@ flat voter order, in which the copies of a group raise in ascending order.
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from math import inf
@@ -79,15 +80,13 @@ class _Group(NamedTuple):
 
 @dataclass(frozen=True)
 class _CoverProblem:
-    coords: tuple[str, ...]
-    start: tuple[int, ...]
+    start: tuple[int, ...]  # the positive deficits, opponents in name order
     groups: tuple[_Group, ...]
 
 
 def _cover_problem(triple: DodgsonTriple, deficits: dict[str, int]) -> _CoverProblem:
-    coords = tuple(sorted(d for d, v in deficits.items() if v > 0))
-    coord_index = {name: i for i, name in enumerate(coords)}
-    start = tuple(deficits[name] for name in coords)
+    coord_index = {name: i for i, name in enumerate(sorted(d for d, v in deficits.items() if v > 0))}
+    start = tuple(deficits[name] for name in coord_index)
     groups: list[_Group] = []
     flat = 0
     for order, mult in triple.election.profile.groups:
@@ -101,7 +100,7 @@ def _cover_problem(triple: DodgsonTriple, deficits: dict[str, int]) -> _CoverPro
         if hits:
             groups.append(_Group(flat, mult, tuple(costs), tuple(hits)))
         flat += mult
-    return _CoverProblem(coords, start, tuple(groups))
+    return _CoverProblem(start, tuple(groups))
 
 
 class _CoverSearch:
@@ -157,8 +156,8 @@ class _CoverSearch:
         # multiplicities.  passes[x]: (cost, bucket of the groups passing
         # opponent x at that cost), ascending by cost; free[x]: bucket of the
         # groups passing x without waste.
-        passes: list[dict[int, tuple[list[int], list[int]]]] = [{} for _ in problem.coords]
-        self.free = [([], [0]) for _ in problem.coords]
+        passes: list[dict[int, tuple[list[int], list[int]]]] = [{} for _ in problem.start]
+        self.free = [([], [0]) for _ in problem.start]
         for g, grp in enumerate(groups):
             self.entry.append((len(self.layers), grp.mult))
             for k, x in enumerate(grp.coords, start=1):
@@ -253,7 +252,7 @@ class _CoverSearch:
         """``own[L]`` for layer (g, j)."""
         costs, coords = self.problem.groups[g].costs, self.problem.groups[g].coords
         run = len(self.run_from(g, j))
-        own: list[tuple[int, bool] | None] = [None] * len(self.problem.coords)
+        own: list[tuple[int, bool] | None] = [None] * len(self.problem.start)
         for i in range(j, len(costs)):
             own[coords[i - 1]] = (costs[i] - costs[j - 1], i - j < run)
         return own
@@ -590,7 +589,7 @@ def _lp_weights(problem: _CoverProblem) -> tuple[list[int], int]:
     types: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
     for grp in problem.groups:
         types[grp.costs, grp.coords] = types.get((grp.costs, grp.coords), 0) + grp.mult
-    nx = len(problem.coords)
+    nx = len(problem.start)
     n = nx + len(types)
     # rows [coefficients..., right-hand side], the objective row last
     rows = []
@@ -638,7 +637,7 @@ def _ladder(triple: DodgsonTriple) -> tuple[int, _CoverSearch | None, list[list]
     cover is the score, and its first cover the witness.
     """
     problem = _cover_problem(triple, deficit_vector(triple))
-    if not problem.coords:
+    if not problem.start:
         return 0, None, None
     search = _CoverSearch(problem)
     layer, avail = search.entry[0]
@@ -693,7 +692,7 @@ def score_decision(triple: DodgsonTriple, budget: int) -> bool:
     if sum(deficits.values()) > budget:
         return False
     problem = _cover_problem(triple, deficits)
-    return not problem.coords or _CoverSearch(problem).cover(budget) is not None
+    return not problem.start or _CoverSearch(problem).cover(budget) is not None
 
 
 def score_oracle(triple: DodgsonTriple, cap: int = DEFAULT_ORACLE_CAP) -> int | None:
@@ -891,8 +890,9 @@ def apply_raises(triple: DodgsonTriple, raises: Sequence[int]) -> Election:
     election = triple.election
     if len(raises) != election.n:
         raise ValueError(f"expected {election.n} raise entries, got {len(raises)}")
-    new_orders = [
-        order.raised(triple.designated, int(step)) if step else order
-        for order, step in zip(election.profile.orders(), raises)
-    ]
-    return Election(election.candidates, VoterProfile.from_orders(new_orders))
+    # raise each run of equal voters and equal steps once, and hold no voter
+    runs = itertools.groupby(zip(election.profile.orders(), raises))
+    orders = (itertools.repeat(order.raised(triple.designated, int(step)), sum(1 for _ in run))
+              for (order, step), run in runs)
+    profile = VoterProfile.from_orders(itertools.chain.from_iterable(orders))
+    return Election(election.candidates, profile)

@@ -162,6 +162,21 @@ def test_condorcet_winner_cases(cycle, unanimous):
     assert condorcet_winner(election("solo", "solo")) == "solo"  # vacuous
 
 
+def test_condorcet_winner_matches_the_tally_definition():
+    # the knockout against the definition: the candidate whose every tally
+    # entry reaches the majority threshold, on odd and even voter counts
+    from dodgson.elections import majority_threshold
+    from dodgson.verify import random_election, trial_rng
+
+    for i in range(5000):
+        rng = trial_rng(29, "condorcet", i)
+        e = random_election(rng, tuple("abcdef"[:rng.randint(1, 6)]), rng.randint(1, 9))
+        votes, need = pairwise_tally(e), majority_threshold(e.n)
+        winners = [w for w in e.candidates
+                   if all(votes[w][d] >= need for d in e.candidates if d != w)]
+        assert condorcet_winner(e) == (winners[0] if winners else None), e
+
+
 # --- deficits -------------------------------------------------------------------
 
 

@@ -88,6 +88,44 @@ def test_q2_matching_means_two_coordinate_disjoint_triples():
             assert has_matching(inst) == directly
 
 
+def _backtracking_matching(instance: MatchingInstance) -> bool:
+    """Reference: give each W token in turn a triple whose X and Y tokens
+    are still unused, backtracking on a dead end."""
+    by_w = {w: [t for t in instance.triples if t[0] == w] for w in instance.w_items}
+    used_x, used_y = set(), set()
+
+    def cover(i: int) -> bool:
+        if i == len(instance.w_items):
+            return True
+        for _, x, y in by_w[instance.w_items[i]]:
+            if x in used_x or y in used_y:
+                continue
+            used_x.add(x)
+            used_y.add(y)
+            if cover(i + 1):
+                return True
+            used_x.discard(x)
+            used_y.discard(y)
+        return False
+
+    return cover(0)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_matching_agrees_with_backtracking(q):
+    from dodgson.verify import trial_rng
+
+    tokens = tuple(tuple(f"{p}{i}" for i in range(1, q + 1)) for p in "wxy")
+    universe = sorted(itertools.product(*tokens))
+    found = set()
+    for i in range(60):
+        rng = trial_rng(29, f"3dm-q{q}", i)
+        inst = MatchingInstance(*tokens, rng.sample(universe, rng.randint(0, min(5 * q, len(universe)))))
+        found.add(has_matching(inst))
+        assert has_matching(inst) == _backtracking_matching(inst), inst
+    assert found == {False, True}
+
+
 def test_parse_round_trip():
     text = serialize_matching(CANONICAL_YES)
     assert parse_matching(text) == CANONICAL_YES
