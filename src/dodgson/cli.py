@@ -369,4 +369,10 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
+    # a closed stdout ends the command as it ends `cat`: by SIGPIPE (status
+    # 141 in the shell), which Python ignores by default
+    import signal
+
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .elections import (DodgsonTriple, Election, PreferenceOrder, TwoERInstance, VoterProfile,
                         _require_odd)
@@ -80,31 +80,28 @@ SENTINEL = Sentinel()
 
 
 def _fresh(base: str, used: set[str]) -> str:
-    if base not in used:
-        return base
-    i = 0
-    while f"{base}{i}" in used:
-        i += 1
-    return f"{base}{i}"
+    """``base``, or ``base`` plus the least index that is not in ``used``;
+    the name returned joins ``used``."""
+    name, i = base, 0
+    while name in used:
+        name, i = f"{base}{i}", i + 1
+    used.add(name)
+    return name
 
 
-class _GroupWriter:
-    """Accumulates voter groups while tracking flat-index boundaries."""
-
-    def __init__(self):
-        self.groups: list[tuple[PreferenceOrder, int]] = []
-        self.boundaries: list[dict] = []
-        self._flat = 0
-
-    def emit(self, names: Sequence[str], mult: int, label: str) -> None:
-        if mult <= 0:
-            return
-        self.groups.append((PreferenceOrder(tuple(names)), mult))
-        self.boundaries.append({"label": label, "start": self._flat, "end": self._flat + mult})
-        self._flat += mult
-
-    def profile(self) -> VoterProfile:
-        return VoterProfile(tuple(self.groups))
+def _profile(rows: Iterable[tuple[Sequence[str], int, str]]) -> tuple[VoterProfile, list[dict]]:
+    """The voter groups of ``(names, multiplicity, label)`` rows, skipping
+    rows of multiplicity 0, and each group's labelled span of flat voter
+    indices (the sidecar's ``voter_groups``)."""
+    groups: list[tuple[PreferenceOrder, int]] = []
+    spans: list[dict] = []
+    flat = 0
+    for names, mult, label in rows:
+        if mult > 0:
+            groups.append((PreferenceOrder(tuple(names)), mult))
+            spans.append({"label": label, "start": flat, "end": flat + mult})
+            flat += mult
+    return VoterProfile(tuple(groups)), spans
 
 
 # --- matching reduction -----------------------------------------------------
@@ -134,22 +131,16 @@ def build_reduction(value: object) -> tuple[ReducedInstance, dict]:
     instance = normalize_matching(value)
     tokens = instance.tokens()
     used = set(tokens)
-    c = _fresh("c", used)
-    used.add(c)
-    s = _fresh("s", used)
-    used.add(s)
-    t = _fresh("t", used)
+    c, s, t = (_fresh(base, used) for base in "cst")
     token_order = sorted(tokens)
-    writer = _GroupWriter()
+    rows = []
     for i, (w, x, y) in enumerate(instance.triples, start=1):
-        rest = sorted(set(tokens) - {w, x, y})
-        if i % 2 == 1:
-            writer.emit([s, c, w, x, y, t] + rest, 1, f"triple-{i}")
-        else:
-            writer.emit([t, c, w, x, y, s] + rest, 1, f"triple-{i}")
+        top, bottom = (s, t) if i % 2 else (t, s)
+        rows.append(([top, c, w, x, y, bottom] + sorted(set(tokens) - {w, x, y}), 1, f"triple-{i}"))
     # one voter fewer than there are triples, all ranking c on top
-    writer.emit(sorted(token_order + [s, t]) + [c], len(instance.triples) - 1, "c-top")
-    election = Election((c, s, t) + tuple(token_order), writer.profile())
+    rows.append((sorted(token_order + [s, t]) + [c], len(instance.triples) - 1, "c-top"))
+    profile, spans = _profile(rows)
+    election = Election((c, s, t) + tuple(token_order), profile)
     threshold = 3 * instance.q
     reduced = ReducedInstance(DodgsonTriple(election, c), threshold)
     info = {
@@ -159,7 +150,7 @@ def build_reduction(value: object) -> tuple[ReducedInstance, dict]:
         "threshold": threshold,
         "q": instance.q,
         "triple_count": len(instance.triples),
-        "voter_groups": writer.boundaries,
+        "voter_groups": spans,
         "normalized": not (isinstance(value, MatchingInstance) and value == instance),
     }
     return reduced, info
@@ -183,19 +174,24 @@ def unit_chain(m: int) -> DodgsonTriple:
     return DodgsonTriple(election, "1")
 
 
-def _renamed_blocks(triples: Sequence[DodgsonTriple]) -> tuple[list[dict[str, str]], list[list[str]], dict[str, str]]:
-    """Per-block rename maps (original -> fresh), block lists in canonical
-    order, and the combined origin map (fresh -> "block:original")."""
+def _renamed_blocks(
+    triples: Sequence[DodgsonTriple], names: Sequence[str]
+) -> tuple[list[dict[str, str]], list[list[str]], dict[str, str]]:
+    """Per-block rename maps (original -> fresh, and each designated
+    candidate -> its entry of ``names``), the renamed non-designated
+    candidates of each block in canonical order, and the combined origin map
+    (fresh -> "block:original")."""
     maps: list[dict[str, str]] = []
     lists: list[list[str]] = []
     origins: dict[str, str] = {}
-    for i, triple in enumerate(triples, start=1):
+    for i, (triple, name) in enumerate(zip(triples, names), start=1):
         others = sorted(n for n in triple.election.candidates if n != triple.designated)
         rename = {orig: f"b{i}_{orig}" for orig in others}
-        maps.append(rename)
-        lists.append([rename[o] for o in others])
+        lists.append(list(rename.values()))
         for orig, fresh in rename.items():
             origins[fresh] = f"{i}:{orig}"
+        rename[triple.designated] = name
+        maps.append(rename)
     return maps, lists, origins
 
 
@@ -214,17 +210,16 @@ def build_sum(triples: Sequence[DodgsonTriple], name: str = "c") -> tuple[Dodgso
         raise ValueError("need at least one election to sum")
     for triple in triples:
         _require_odd(triple, "every summed election")
-    maps, lists, origins = _renamed_blocks(triples)
+    maps, lists, origins = _renamed_blocks(triples, [name] * len(triples))
     sizes = [t.election.n for t in triples]
     total_n = sum(sizes)
     s_count = sum(len(t.election.candidates) * t.election.n for t in triples)
     s_list = [f"s{j}" for j in range(1, s_count + 1)]
-    writer = _GroupWriter()
-    for i, triple in enumerate(triples, start=1):
-        rename = {**maps[i - 1], triple.designated: name}
+    rows = []
+    for i, (triple, rename) in enumerate(zip(triples, maps), start=1):
         prefix = s_list + [other for j, block in enumerate(lists, start=1) if j != i for other in block]
-        for order, mult in triple.election.profile.groups:
-            writer.emit(prefix + [rename[x] for x in order.ranking], mult, f"simulates-{i}")
+        rows += [(prefix + [rename[x] for x in order.ranking], mult, f"simulates-{i}")
+                 for order, mult in triple.election.profile.groups]
     # Normalizing voters: block i sits above the separators for exactly
     # floor(n_i/2) + sum_{j != i} n_j of them and below c for the rest, which
     # pins c's standing against block i outside block i's own simulators.
@@ -235,17 +230,17 @@ def build_sum(triples: Sequence[DodgsonTriple], name: str = "c") -> tuple[Dodgso
         + [other for i in range(len(triples)) if q <= thresholds[i] for other in lists[i]]
         for q in range(1, total_n)
     )
-    for order, run in itertools.groupby(normalizers):
-        writer.emit(order, len(list(run)), "normalizer")
+    rows += [(order, len(list(run)), "normalizer") for order, run in itertools.groupby(normalizers)]
+    profile, spans = _profile(rows)
     candidates = [name] + [other for block in lists for other in block] + s_list
-    election = Election(tuple(candidates), writer.profile())
+    election = Election(tuple(candidates), profile)
     info = {
         "kind": "sum",
         "designated": name,
         "separators": {"s": s_count},
         "designated_origins": {str(i): t.designated for i, t in enumerate(triples, start=1)},
         "rename_map": origins,
-        "voter_groups": writer.boundaries,
+        "voter_groups": spans,
         "blocks": len(triples),
     }
     return DodgsonTriple(election, name), info
@@ -272,16 +267,15 @@ def build_parity_combiner(inputs: Sequence[object]) -> tuple[TwoERInstance, dict
         raise ValueError(f"need a non-empty even-length input list, got {len(inputs)}")
     reduced = [build_reduction(value)[0] for value in inputs]
     thresholds = [r.threshold for r in reduced]
-    left_chain = unit_chain(1 + sum(thresholds[1::2]))
-    right_chain = unit_chain(sum(thresholds[0::2]))
-    left, left_info = build_sum([r.triple for r in reduced[0::2]] + [left_chain])
-    right, right_info = build_sum([r.triple for r in reduced[1::2]] + [right_chain], "d")
+    left_chain, right_chain = 1 + sum(thresholds[1::2]), sum(thresholds[0::2])
+    left, left_info = build_sum([r.triple for r in reduced[0::2]] + [unit_chain(left_chain)])
+    right, right_info = build_sum([r.triple for r in reduced[1::2]] + [unit_chain(right_chain)], "d")
     instance = TwoERInstance(left, right)
     info = {
         "kind": "wagner-g",
         "thresholds": thresholds,
-        "left_chain": 1 + sum(thresholds[1::2]),
-        "right_chain": sum(thresholds[0::2]),
+        "left_chain": left_chain,
+        "right_chain": right_chain,
         "left": left_info,
         "right": right_info,
     }
@@ -309,56 +303,36 @@ def build_merge(t1: DodgsonTriple, t2: DodgsonTriple) -> tuple[RankingInstance, 
     ``t1``/``t2``.
     """
     TwoERInstance(t1, t2)  # validates the pair
-    maps, lists, origins = _renamed_blocks([t1, t2])
+    maps, lists, origins = _renamed_blocks([t1, t2], "cd")
     # per input: triple, designated name, rename map, block list, voter label;
     # the input with more voters plays the big role
-    sides = [
-        (t1, "c", {**maps[0], t1.designated: "c"}, lists[0], "simulates-first"),
-        (t2, "d", {**maps[1], t2.designated: "d"}, lists[1], "simulates-second"),
-    ]
+    sides = list(zip((t1, t2), "cd", maps, lists, ("simulates-first", "simulates-second")))
     swapped = t1.election.n < t2.election.n
     if swapped:
         sides.reverse()
     big, big_name, big_rename, big_list, big_label = sides[0]
     small, small_name, small_rename, small_list, small_label = sides[1]
     v_count, w_count = big.election.n, small.election.n
-    s_count = 2 * (
-        len(big.election.candidates) * v_count + len(small.election.candidates) * w_count
-    )
+    s_count = 2 * sum(len(t.election.candidates) * t.election.n for t in (t1, t2))
     s_list = [f"s{j}" for j in range(1, s_count + 1)]
     t_list = [f"t{j}" for j in range(1, s_count + 1)]
-    writer = _GroupWriter()
-    for order, mult in big.election.profile.groups:
-        writer.emit(
-            [small_name] + s_list + small_list + t_list + [big_rename[x] for x in order.ranking],
-            mult,
-            big_label,
-        )
-    for order, mult in small.election.profile.groups:
-        writer.emit(
-            t_list + [big_name] + s_list + big_list + [small_rename[x] for x in order.ranking],
-            mult,
-            small_label,
-        )
+    big_prefix = [small_name] + s_list + small_list + t_list
+    small_prefix = t_list + [big_name] + s_list + big_list
+    rows = [(big_prefix + [big_rename[x] for x in order.ranking], mult, big_label)
+            for order, mult in big.election.profile.groups]
+    rows += [(small_prefix + [small_rename[x] for x in order.ranking], mult, small_label)
+             for order, mult in small.election.profile.groups]
     half_v = (v_count + 1) // 2
     half_w = (w_count + 1) // 2
-    writer.emit(
-        t_list + [big_name] + s_list + big_list + small_list + [small_name],
-        half_v - half_w,
-        "normalizer-top",
-    )
-    writer.emit(
-        t_list + big_list + small_list + list(reversed(s_list)) + [big_name, small_name],
-        half_v,
-        "normalizer-big",
-    )
-    writer.emit(
-        t_list + big_list + small_list + s_list + [small_name, big_name],
-        half_w,
-        "normalizer-small",
-    )
+    blocks = t_list + big_list + small_list
+    rows += [
+        (small_prefix + small_list + [small_name], half_v - half_w, "normalizer-top"),
+        (blocks + list(reversed(s_list)) + [big_name, small_name], half_v, "normalizer-big"),
+        (blocks + s_list + [small_name, big_name], half_w, "normalizer-small"),
+    ]
+    profile, spans = _profile(rows)
     candidates = ["c"] + lists[0] + ["d"] + lists[1] + s_list + t_list
-    election = Election(tuple(candidates), writer.profile())
+    election = Election(tuple(candidates), profile)
     instance = RankingInstance(election, "c", "d")
     info = {
         "kind": "merge",
@@ -368,7 +342,7 @@ def build_merge(t1: DodgsonTriple, t2: DodgsonTriple) -> tuple[RankingInstance, 
         "separators": {"s": s_count, "t": s_count},
         "swapped": swapped,
         "rename_map": origins,
-        "voter_groups": writer.boundaries,
+        "voter_groups": spans,
     }
     return instance, info
 

@@ -165,6 +165,34 @@ def test_witness_output_holds_no_str_per_voter(tmp_path, capsys):
         assert peak < 24 * n, (flags, peak / n)
 
 
+def test_a_closed_pipe_ends_the_command_as_it_ends_cat(tmp_path):
+    # `dodgson score … --witness | head -c 1`: the witness of 200,001 voters
+    # (about 400 kB) outgrows the pipe, so the child writes after the reader
+    # has gone; SIGPIPE ends it with nothing on stderr, not "error:" and exit 2
+    import os
+    import signal
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import dodgson
+
+    path = tmp_path / "wide.dodg"
+    path.write_text("candidates: a b c\n200000: a<b<c\n1: c<b<a\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(dodgson.__file__).resolve().parent.parent))
+    proc = subprocess.Popen([sys.executable, "-m", "dodgson", "score", str(path), "-c", "a", "--witness"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert proc.stdout.read(1) == b"s"
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == -signal.SIGPIPE, proc.stderr.read()
+        assert proc.stderr.read() == b""
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+
+
 def test_winner_on_merge_of_pair_and_cycle(tmp_path, capsys):
     # 49 candidates and 8 voters, every one of them scored in full
     merged = merge(

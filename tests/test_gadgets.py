@@ -26,7 +26,8 @@ from dodgson import (
     two_election_ranking,
     unit_chain,
 )
-from dodgson.gadgets import _fresh, build_merge, build_sum
+from dodgson.gadgets import _fresh, build_merge, build_parity_combiner, build_reduction, build_sum
+from dodgson.verify import RunConfig, merge_corpus, random_matching, random_triple, trial_rng
 
 from conftest import assert_outcome, chain_triple, election, time_limit
 
@@ -280,3 +281,44 @@ def test_malformed_inputs_map_to_the_sentinel():
 def test_validation_branches(build, expected):
     # each rule of the instance types once
     assert_outcome(build, expected)
+
+
+def test_voter_groups_tile_the_profile():
+    # the sidecar's spans: one per voter group of the built election, in
+    # order, each as long as its group's multiplicity, together tiling 0..n
+    built = []
+    for t1, t2 in merge_corpus(RunConfig(seed=7, trials=40)):
+        for first, second in ((t1, t2), (t2, t1)):
+            instance, info = build_merge(first, second)
+            built.append((instance.election, info))
+    # inputs whose halves are equal build no normalizer-top group
+    labels = [[span["label"] for span in info["voter_groups"]] for _, info in built]
+    assert any("normalizer-top" in row for row in labels)
+    assert any("normalizer-top" not in row for row in labels)
+    for i in range(20):
+        rng = trial_rng(7, "sum", i)
+        parts = [random_triple(rng, tuple(f"{p}{j}" for j in range(1, 4)), max_candidates=3)
+                 for p in "pqr"[: rng.randint(1, 3)]]
+        for name in "cd":
+            triple, info = build_sum(parts, name)
+            built.append((triple.election, info))
+    clash = MatchingInstance(("c", "c0"), ("s", "s0"), ("t", "t2"),
+                             (("c", "s", "t"), ("c0", "s0", "t2")))
+    matchings = [clash, "junk"]
+    for i in range(30):
+        rng = trial_rng(7, "reduce", i)
+        q = rng.randint(1, 3)
+        matchings.append(random_matching(rng, q, rng.randint(0, min(q ** 3, 3 * q))))
+    for value in matchings:
+        reduced, info = build_reduction(value)
+        built.append((reduced.triple.election, info))
+    for k in (1, 2):
+        for yes in range(2 * k + 1):
+            instance, info = build_parity_combiner([CANONICAL_YES] * yes + [CANONICAL_NO] * (2 * k - yes))
+            built += [(instance.left.election, info["left"]), (instance.right.election, info["right"])]
+    assert len(built) > 150
+    for e, info in built:
+        spans = info["voter_groups"]
+        assert [span["start"] for span in spans] == [0] + [span["end"] for span in spans[:-1]]
+        assert [span["end"] - span["start"] for span in spans] == [mult for _, mult in e.profile.groups]
+        assert spans[-1]["end"] == e.n
