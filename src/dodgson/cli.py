@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from itertools import groupby
 from pathlib import Path
 
 from .elections import DodgsonTriple, Election, parse_election, serialize_election
@@ -29,7 +28,6 @@ from .gadgets import (
 from .matching import parse_matching
 from .scoring import (
     DEFAULT_ORACLE_CAP,
-    _ladder,
     all_scores,
     is_winner,
     ranks_at_least,
@@ -51,7 +49,7 @@ EXIT_UNKNOWN = 4
 
 def _load_election(path: str):
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
     return parse_election(text)
@@ -145,20 +143,21 @@ def _cmd_score(args) -> int:
         verdict = score_decision(triple, args.at_most)
         return _decide({"command": "score", "candidate": args.candidate,
                         "at_most": args.at_most, "decision": verdict}, verdict, args.json)
-    result = score_exact(triple) if args.witness else None
-    score = result.score if result else _ladder(triple)[0]
-    payload = {"command": "score", "candidate": args.candidate, "score": score}
-    if result is None:
-        _emit(payload, [f"score: {score}"], args.json)
+    result = score_exact(triple)
+    payload = {"command": "score", "candidate": args.candidate, "score": result.score}
+    if not args.witness:
+        _emit(payload, [f"score: {result.score}"], args.json)
         return EXIT_OK
-    # the witness goes out one run of equal raises at a time, as a str per voter
-    # would outweigh its int; "witness" sorts after every other key
-    sep = ", " if args.json else " "
-    sys.stdout.write(json.dumps(payload, sort_keys=True)[:-1] + ', "witness": ['
-                     if args.json else f"score: {score}\nwitness: ")
-    for i, (value, run) in enumerate(groupby(result.witness)):
-        text = str(value)
-        sys.stdout.write((sep if i else "") + text + (sep + text) * (sum(1 for _ in run) - 1))
+    # one run can hold every voter, so it goes out `most` voters per write, with
+    # nothing held per voter; "witness" sorts after every other key
+    sep, most = (", " if args.json else " "), 1 << 16
+    (value, count), *rest = result.runs
+    sys.stdout.write((json.dumps(payload, sort_keys=True)[:-1] + ', "witness": [' if args.json
+                      else f"score: {result.score}\nwitness: ") + str(value))
+    for value, count in ((value, count - 1), *rest):
+        piece = sep + str(value)
+        for left in range(count, 0, -most):
+            sys.stdout.write(piece * min(left, most))
     sys.stdout.write("]}\n" if args.json else "\n")
     return EXIT_OK
 
@@ -209,7 +208,7 @@ def _cmd_oracle(args) -> int:
 
 def _read_matching(path: str) -> object:
     try:
-        return parse_matching(Path(path).read_text(encoding="utf-8"))
+        return parse_matching(Path(path).read_text(encoding="utf-8-sig"))
     except (OSError, ValueError) as exc:
         return f"unreadable: {exc}"  # totalized: malformed maps through normalization
 

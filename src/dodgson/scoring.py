@@ -60,7 +60,13 @@ _MEMO_CAP = 10_000_000  # failed states remembered per search; bounds memory on 
 @dataclass(frozen=True)
 class ScoreResult:
     score: int
-    witness: tuple[int, ...]  # per-voter upward switch counts, flat-indexed; cost is the sum
+    runs: tuple[tuple[int, int], ...]  # (raise, voters) in flat voter order
+
+    @property
+    def witness(self) -> tuple[int, ...]:
+        """Per-voter upward switch counts, flat-indexed, built anew on each read from
+        ``runs``: positive counts summing to n, with no two equal neighbours."""
+        return tuple(itertools.chain.from_iterable(itertools.repeat(v, k) for v, k in self.runs))
 
 
 class _Group(NamedTuple):
@@ -626,19 +632,19 @@ def _lp_weights(problem: _CoverProblem) -> tuple[list[int], int]:
     return [rows[row_of[x]][n] if x in row_of else 0 for x in range(nx)], d
 
 
-def _ladder(triple: DodgsonTriple) -> tuple[int, _CoverSearch | None, list[list] | None]:
-    """The Dodgson score, the search and the stack of its first cover (None at 0).
+def score_exact(triple: DodgsonTriple) -> ScoreResult:
+    """Exact Dodgson score with the lexicographically least witness achieving it.
 
     The search runs at rising budgets from the root bound, one apart, sharing
     its memo.  After the second failure the ladder jumps once to ⌈LP⌉, which
     is ⌈L(y / d)⌉ of :func:`_dual_bound` at the exact LP weights y / d of
     :func:`_lp_weights`, if that is higher.  Every bound is at most the score,
     so only budgets below it are skipped: the first budget that admits a
-    cover is the score, and its first cover the witness.
+    cover is the score, and its first cover the witness, read off as runs.
     """
     problem = _cover_problem(triple, deficit_vector(triple))
     if not problem.start:
-        return 0, None, None
+        return ScoreResult(0, ((0, triple.election.n),))
     search = _CoverSearch(problem)
     layer, avail = search.entry[0]
     # Raising the designated candidate to the top of every voter is a cover,
@@ -658,30 +664,25 @@ def _ladder(triple: DodgsonTriple) -> tuple[int, _CoverSearch | None, list[list]
             # pass_s went 0.143-0.167 -> 0.181-0.205 s and verdict_tail_ms
             # 1.34-1.63 -> 3.51-4.25 ms (4 pairs, seeds 41-44).
             budget = max(budget, _dual_bound(problem, *_lp_weights(problem)))
-    return budget, search, stack
-
-
-def score_exact(triple: DodgsonTriple) -> ScoreResult:
-    """Exact Dodgson score with the lexicographically least witness achieving
-    it, decoded from :func:`_ladder`'s first cover: the only per-voter step."""
-    budget, search, stack = _ladder(triple)
-    n = triple.election.n
-    if stack is None:
-        return ScoreResult(0, (0,) * n)
-    # A group's copies raise in ascending order, later frames overwriting: a count
-    # frame at (g, j) sends the group's last ``option`` copies to level j, a
-    # single-copy frame sends its last copy to level ``option``.
-    raises = [0] * n
+    # A group's copies raise in ascending order: a count frame at (g, j) keeps
+    # ``avail - option`` copies at level j-1 and moves ``option`` to level j, a
+    # single-copy frame moves its copy to ``option``; a group's last move stays.
+    pieces, carry, end = [], (0, 0), 0
     for frame in stack:
         g, j = search.layers[frame[0]]
-        grp = search.problem.groups[g]
-        end = grp.flat + grp.mult
-        option = frame[5] - 1
-        if frame[1] == 1:
-            raises[end - 1] = grp.costs[option]
-        else:
-            raises[end - option:end] = [grp.costs[j]] * option
-    return ScoreResult(budget, tuple(raises))
+        flat, mult, costs, _ = problem.groups[g]
+        avail, option = frame[1], frame[5] - 1
+        if j == 1:  # the group's first frame; the voters since the last group raise 0
+            pieces += carry, (0, flat - end)
+            end = flat + mult
+        level, moved = (option, 1) if avail == 1 else (j, option)
+        pieces.append((costs[j - 1], avail - moved))
+        carry = (costs[level], moved)
+    runs = [(None, 0)]  # a sentinel that matches no raise
+    for v, k in pieces + [carry, (0, triple.election.n - end)]:
+        if k:  # a raise equal to the last run's joins it
+            runs.append((v, runs.pop()[1] + k) if v == runs[-1][0] else (v, k))
+    return ScoreResult(budget, tuple(runs[1:]))
 
 
 def score_decision(triple: DodgsonTriple, budget: int) -> bool:
@@ -807,7 +808,7 @@ def score_oracle(triple: DodgsonTriple, cap: int = DEFAULT_ORACLE_CAP) -> int | 
 
 def all_scores(election: Election) -> dict[str, int]:
     """Exact Dodgson score of every candidate; winners are the argmin set."""
-    return {name: _ladder(DodgsonTriple(election, name))[0] for name in election.candidates}
+    return {name: score_exact(DodgsonTriple(election, name)).score for name in election.candidates}
 
 
 def _deficit_sum_over(election: Election) -> Callable[[str, int], bool]:
@@ -855,7 +856,7 @@ def is_winner(triple: DodgsonTriple) -> bool:
     scoring at most one less.  On the 2,900-candidate winner reduction of one
     parity chain this takes 0.1 s (Python 3.11, 2 shared cores).
     """
-    own = _ladder(triple)[0]
+    own = score_exact(triple).score
     return own == 0 or _rival_at_most(triple.election, own - 1, (triple.designated,)) is None
 
 
@@ -866,7 +867,7 @@ def ranks_at_least(election: Election, c: str, d: str) -> bool:
             raise ValueError(f"unknown candidate {name!r}")
     if c == d:
         return True
-    own = _ladder(DodgsonTriple(election, c))[0]
+    own = score_exact(DodgsonTriple(election, c)).score
     return own == 0 or not score_decision(DodgsonTriple(election, d), own - 1)
 
 
@@ -877,7 +878,7 @@ def two_election_ranking(left: DodgsonTriple, right: DodgsonTriple) -> bool:
     candidates must differ; anything else is not a valid instance.
     """
     TwoERInstance(left, right)  # validates the pair
-    own = _ladder(left)[0]
+    own = score_exact(left).score
     return own == 0 or not score_decision(right, own - 1)
 
 

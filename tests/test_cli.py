@@ -77,10 +77,12 @@ def test_score_at_most_on_many_voters(tmp_path, capsys):
 
 
 def test_only_the_witness_allocates_per_voter(tmp_path, capsys):
-    # 10^7 + 1 voters in two groups: every answer but the witness comes from
-    # the budget ladder, which holds nothing per voter; the witness holds
-    # 10^7 + 1 ints
+    # 10^7 + 1 voters in two groups: every answer holds nothing per voter,
+    # `score --witness` included, as score_exact gives the witness as runs of
+    # equal raises; only reading `.witness` builds its 10^7 + 1 ints
+    import os
     import tracemalloc
+    from contextlib import nullcontext, redirect_stdout
 
     path = tmp_path / "big.dodg"
     path.write_text("candidates: a b c\n10000000: a<b<c\n1: c<b<a\n")
@@ -94,20 +96,31 @@ def test_only_the_witness_allocates_per_voter(tmp_path, capsys):
         (["winner", big], 0, "a: 10000000\nb: 5000000\nc: 0\nwinners: c\n"),
         # the oracle compares the deficit sum with its cap on the groups
         (["oracle", big, "-c", "a"], 0, "unknown (cap 20 exceeded)\n"),
+        # the witness goes to os.devnull, so that no capture is counted
+        (["score", big, "-c", "a", "--witness"], 0, None),
+        (["score", big, "-c", "a", "--witness", "--json"], 0, None),
     ]
     for argv, code, out in answers:
-        tracemalloc.start()
-        try:
-            assert main(argv) == code, argv
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert capsys.readouterr().out == out
+        with open(os.devnull, "w") as sink, redirect_stdout(sink) if out is None else nullcontext():
+            tracemalloc.start()
+            try:
+                assert main(argv) == code, argv
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert capsys.readouterr().out == (out or "")
         assert peak < 1_000_000, (argv, peak)
     triple = DodgsonTriple(parse_election(path.read_text()), "a")
     tracemalloc.start()
     try:
-        witness = score_exact(triple).witness
+        result = score_exact(triple)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.runs == ((0, 5_000_000), (2, 5_000_000), (0, 1)) and peak < 1_000_000, peak
+    tracemalloc.start()
+    try:
+        witness = result.witness
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -141,18 +154,19 @@ def test_witness_output_is_the_joined_witness(tmp_path, capsys):
 
 
 def test_witness_output_holds_no_str_per_voter(tmp_path, capsys):
-    # 10^6 + 1 voters in two groups: the witness itself is a tuple of one int
-    # per voter, decoded from a list of them (16 bytes per voter); writing it
-    # run by run adds no str per voter, which joining it did (about 69 bytes
-    # per voter in all)
+    # 10^6 + 1 voters in two groups: the witness goes out from its runs, so
+    # the peak is about the captured output itself, 2-3 bytes per voter; its
+    # runs of 500,000 voters span several writes, and the bytes are the
+    # whole witness joined
     import tracemalloc
 
     path = tmp_path / "big.dodg"
     path.write_text("candidates: a b c\n1000000: a<b<c\n1: c<b<a\n")
     n = 1_000_001
-    for flags, head, tail in (([], "score: 1000000\nwitness: 0 ", " 0\n"),
-                              (["--json"], '{"candidate": "a", "command": "score", "score": '
-                                           '1000000, "witness": [0, ', ", 0]}\n")):
+    witness = [0] * 500_000 + [2] * 500_000 + [0]
+    text = "score: 1000000\nwitness: " + " ".join(map(str, witness)) + "\n"
+    payload = {"candidate": "a", "command": "score", "score": 1_000_000, "witness": witness}
+    for flags, want in (([], text), (["--json"], json.dumps(payload, sort_keys=True) + "\n")):
         tracemalloc.start()
         try:
             with time_limit(20):
@@ -161,8 +175,8 @@ def test_witness_output_holds_no_str_per_voter(tmp_path, capsys):
         finally:
             tracemalloc.stop()
         out = capsys.readouterr().out
-        assert out.startswith(head) and out.endswith(tail), (out[:80], out[-80:])
-        assert peak < 24 * n, (flags, peak / n)
+        assert out == want, (out[:80], out[-80:], len(out), len(want))
+        assert peak < 8 * n, (flags, peak / n)
 
 
 def test_a_closed_pipe_ends_the_command_as_it_ends_cat(tmp_path):
@@ -313,6 +327,28 @@ def test_reduce_3dm_totalizes_malformed_files(tmp_path, capsys):
     out = tmp_path / "norm"
     assert main(["reduce", "3dm", str(bad), "-o", str(out)]) == 0
     assert "threshold 6" in capsys.readouterr().out  # canonical no-instance image
+
+
+def test_a_byte_order_mark_is_not_content(tmp_path, capsys):
+    # a UTF-8 byte-order mark, as some editors save files, is read as nothing:
+    # the .3dm yes-instance reduces as itself (not as the canonical
+    # no-instance of an unreadable file, score 7) and the .dodg file parses
+    for name, text in (("plain", YES2_3DM), ("bom", "\ufeff" + YES2_3DM)):
+        (tmp_path / f"{name}.3dm").write_text(text, encoding="utf-8")
+        assert main(["reduce", "3dm", str(tmp_path / f"{name}.3dm"), "-o", str(tmp_path / name)]) == 0
+    capsys.readouterr()
+    for suffix in (".dodg", ".json"):
+        plain = (tmp_path / f"plain{suffix}").read_bytes()
+        assert (tmp_path / f"bom{suffix}").read_bytes() == plain, suffix
+    reduced = (tmp_path / "plain.dodg").read_text(encoding="utf-8")
+    (tmp_path / "bom.dodg").write_text("\ufeff" + reduced, encoding="utf-8")
+    designated = json.loads((tmp_path / "plain.json").read_text())["designated"]
+    for flags, head in (([], "score: 6\n"), (["--witness", "--json"], '{"candidate"')):
+        outputs = []
+        for name in ("plain", "bom"):
+            assert main(["score", str(tmp_path / f"{name}.dodg"), "-c", designated, *flags]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] and outputs[0].startswith(head), outputs
 
 
 def test_reduce_sum_voter_count(files, tmp_path, capsys):

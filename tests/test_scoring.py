@@ -284,6 +284,53 @@ def test_witness_is_lexicographically_least_by_brute_force():
             assert (result.score, result.witness) == _brute_force_score_and_witness(t)
 
 
+def _per_voter_decode(t: DodgsonTriple, score: int) -> tuple[int, ...]:
+    """The witness decoded one entry per voter from the first cover at the
+    score, later frames overwriting: a count frame at (g, j) sends its group's
+    last ``option`` copies to level j, a single-copy frame its last copy to
+    level ``option``."""
+    raises = [0] * t.election.n
+    if score:
+        search = _CoverSearch(_cover_problem(t, deficit_vector(t)))
+        for frame in search.cover(score):
+            g, j = search.layers[frame[0]]
+            grp = search.problem.groups[g]
+            end, option = grp.flat + grp.mult, frame[5] - 1
+            if frame[1] == 1:
+                raises[end - 1] = grp.costs[option]
+            else:
+                raises[end - option:end] = [grp.costs[j]] * option
+    return tuple(raises)
+
+
+def test_runs_encode_the_witness():
+    # score_exact reads the witness off its cover as runs of equal raises:
+    # positive counts summing to n, no two equal neighbours, costing the
+    # score, and expanding to the per-voter decode of the same cover
+    elections = _grouped_profiles()
+    elections += [impartial_culture(m, n, f"witness:{m}:{n}", 0.4)
+                  for m, n in ((3, 21), (4, 45), (5, 101))]
+    cases = [triple(e, name) for e in elections for name in e.candidates]
+    cases += [_merge_separator(*_MERGE_2, name) for name in ("t1", "t3", "s12")]
+    cases += [_special("3dm-8", "s")]
+    crowd = impartial_culture(6, 1001, "crowd:2", 0.192)  # `c` scores 0
+    cases += [triple(crowd, name) for name in crowd.candidates]
+    zeros = 0
+    for t in cases:
+        result = score_exact(t)
+        runs, n = result.runs, t.election.n
+        assert all(k > 0 for _, k in runs), runs
+        assert all(a[0] != b[0] for a, b in zip(runs, runs[1:])), runs
+        assert sum(k for _, k in runs) == n
+        assert sum(v * k for v, k in runs) == result.score
+        assert tuple(v for v, k in runs for _ in range(k)) == result.witness
+        assert result.witness == _per_voter_decode(t, result.score)
+        if result.score == 0:
+            zeros += 1
+            assert runs == ((0, n),)
+    assert zeros >= 2
+
+
 def test_zero_law(cycle, unanimous):
     assert score_exact(triple(unanimous, "c")).score == 0
     for name in "abc":
