@@ -1,5 +1,5 @@
 """Core election model: preference orders, voter multisets, triples, 2ER pairs,
-pairwise tallies, Condorcet tests, and raises by adjacent switches.
+Condorcet tests, and raises by adjacent switches.
 
 A preference order is stored ascending: index 0 holds the least preferred
 candidate and the last entry the favourite, so ``a<b<c`` means c is liked
@@ -24,7 +24,6 @@ __all__ = [
     "Election",
     "DodgsonTriple",
     "TwoERInstance",
-    "pairwise_tally",
     "condorcet_winner",
     "deficit_vector",
     "parse_election",
@@ -187,16 +186,6 @@ class TwoERInstance:
         _require_odd(self.right, "right election")
         if self.left.designated == self.right.designated:
             raise ValueError("designated candidates must differ")
-
-
-def pairwise_tally(election: Election) -> dict[str, dict[str, int]]:
-    """votes[a][b] = number of voters strictly preferring a to b (votes[a][a] = 0)."""
-    votes = {a: {b: 0 for b in election.candidates} for a in election.candidates}
-    for order, mult in election.profile.groups:
-        # combinations() yields (lower, higher); the higher entry is preferred
-        for low, high in itertools.combinations(order.ranking, 2):
-            votes[high][low] += mult
-    return votes
 
 
 def condorcet_winner(election: Election) -> str | None:

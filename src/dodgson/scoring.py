@@ -22,8 +22,10 @@ Two independent routes to the same quantity:
   cover it finds.
 * :func:`score_oracle` — best-first (A*) search over whole profiles using the
   literal one-adjacent-exchange-anywhere edge relation, guided by the votes
-  the designated candidate still misses.  This is the ground truth the
-  raise-only model is validated against, at small scale.
+  the designated candidate still misses.  A state holds only the voters that
+  left their start order, and each state makes its successors in stages of
+  f (partial expansion), so an exchanged order is built only when needed.
+  This is the ground truth the raise-only model is validated against.
 
 Everything here is pure, deterministic and in exact integers; witness ties
 are broken by the lexicographically smallest per-voter raises vector under
@@ -700,21 +702,24 @@ def score_oracle(triple: DodgsonTriple, cap: int = DEFAULT_ORACLE_CAP) -> int | 
     """Best-first (A*) search over whole profiles, one adjacent exchange
     anywhere per edge — the literal sequential-switch semantics.
 
-    Profiles are canonicalized as sorted multisets of interned order ids
-    (switch cost is voter-anonymous).  Every adjacent exchange of every
-    distinct voter order is an edge, whether or not it moves the designated
-    candidate.  Each state carries, per opponent, how many voters rank the
-    designated candidate above it, and h, the votes still missing over all
-    opponents.  An exchange that moves the designated candidate changes one
-    count by one and any other exchange changes none, so h moves by at most
-    one per edge: it never overestimates the switches left (admissible) and
-    never drops by more than an edge costs (consistent), and h = 0 is the
-    goal.  States are expanded in order of f = depth + h, last in first out
-    within one f; a successor that reaches h = 0 has the f being expanded, so
-    its depth is the score.  Successors with f above ``cap`` are dropped, and
-    None means the score exceeds ``cap``.  The 9-candidate, 3-voter
-    reductions of the canonical 3DM instances (score 6 yes, 7 no) each take
-    about a millisecond.
+    h is the votes the designated candidate c still misses, summed over its
+    opponents.  An exchange changes at most one count by one, so each edge
+    raises f = depth + h by Δ = 0 (a raise of c past an opponent still short
+    of a majority), 2 (a lowering below an opponent that then falls short)
+    or 1 (any other exchange), and h = 0 is the goal.  The start's voters are
+    merged into one group per distinct order; a state is the sorted tuple of
+    (group, current order) of the voters that left their start order, at
+    most ``depth`` entries whatever n is.
+
+    Partial expansion (Yoshizumi, Miura & Ishida, AAAI 2000): popped at its
+    own f0 a state makes its Δ = 0 successors, at f0 + 1 its Δ = 1 ones and,
+    when some voter can lower c below an opponent it needs, at f0 + 2 those.
+    Every successor is made at the f being expanded, so a state is final
+    when first seen, and an exchanged order is built once per (order,
+    position), when a successor needs it.  Within one f the states missing
+    the fewest votes go first, and every raise is tried before any other
+    exchange.  Nothing above ``cap`` is made; None means the score exceeds
+    ``cap``.
     """
     if cap < 0:
         raise ValueError(f"cap must be non-negative, got {cap}")
@@ -723,37 +728,6 @@ def score_oracle(triple: DodgsonTriple, cap: int = DEFAULT_ORACLE_CAP) -> int | 
     c = index[triple.designated]
     size = len(election.candidates)
     need = majority_threshold(election.n)
-    ids: dict[tuple[int, ...], int] = {}
-    orders: list[tuple[int, ...]] = []
-    moves: list[list[tuple[int, int, int]] | None] = []
-
-    def intern(order: tuple[int, ...]) -> int:
-        oid = ids.get(order)
-        if oid is None:
-            oid = ids[order] = len(orders)
-            orders.append(order)
-            moves.append(None)
-        return oid
-
-    def moves_of(oid: int) -> list[tuple[int, int, int]]:
-        """(successor id, opponent the designated candidate passes or -1, ±1)
-        for each adjacent exchange of order ``oid``; built on first use."""
-        found = moves[oid]
-        if found is None:
-            order = orders[oid]
-            found = []
-            for p in range(size - 1):
-                low, high = order[p], order[p + 1]
-                swapped = intern(order[:p] + (high, low) + order[p + 2:])
-                if low == c:
-                    found.append((swapped, high, 1))
-                elif high == c:
-                    found.append((swapped, low, -1))
-                else:
-                    found.append((swapped, -1, 0))
-            moves[oid] = found
-        return found
-
     start_above = [0] * size  # per opponent, voters ranking the designated candidate above it
     for order, mult in election.profile.groups:  # counted on groups, not voters
         for name in order.ranking[:order.position(triple.designated)]:
@@ -763,46 +737,111 @@ def score_oracle(triple: DodgsonTriple, cap: int = DEFAULT_ORACLE_CAP) -> int | 
         return 0
     if h0 > cap:
         return None  # decided before anything is held per voter
-    start = tuple(sorted(intern(tuple(index[x] for x in order.ranking))
-                         for order in election.profile.orders()))
-    best = {start: h0}  # least f seen per state
-    tallies: dict[tuple[int, ...], tuple[int, ...]] = {}
-    buckets = {h0: [(start, tuple(start_above), h0)]}
-    bound = h0
-    while buckets:
-        stack = buckets.setdefault(bound, [])  # successors at this f join it
-        while stack:
-            state, above, h = stack.pop()
-            if best[state] < bound:
-                continue  # reached again with a smaller f, and expanded there
-            depth = bound - h + 1  # the successors' depth
-            for vi, oid in enumerate(state):
-                if vi and oid == state[vi - 1]:
-                    continue  # duplicate voter: identical successor states
-                rest = state[:vi] + state[vi + 1:]
-                for nid, d, delta in moves_of(oid):
-                    now_h = h
-                    if delta > 0:
-                        now_h -= above[d] < need
-                        if now_h == 0:
-                            return depth
-                    elif delta < 0:
-                        now_h += above[d] <= need
-                    f = depth + now_h
-                    if f > cap:
+    ids: dict[tuple[int, ...], int] = {}
+    orders: list[tuple[int, ...]] = []
+    nbrs: list[tuple[int, int]] = []  # per order, the opponents just above and below c, or -1
+    rise: dict[int, int] = {}  # per order, once built: the designated candidate one place up
+    fall: dict[int, int] = {}  # and one place down
+    side: dict[int, list[tuple[int, int, int]]] = {}  # and every other exchange, as moves
+
+    def intern(order: tuple[int, ...]) -> int:
+        oid = ids.get(order)
+        if oid is None:
+            oid = ids[order] = len(orders)
+            orders.append(order)
+            p = order.index(c)
+            nbrs.append((order[p + 1] if p + 1 < size else -1, order[p - 1] if p else -1))
+        return oid
+
+    def swap(oid: int, q: int) -> int:
+        order = orders[oid]
+        return intern(order[:q] + (order[q + 1], order[q]) + order[q + 2:])
+
+    mults: dict[int, int] = {}  # group g starts at order g
+    for order, mult in election.profile.groups:
+        g = intern(tuple(index[x] for x in order.ranking))
+        mults[g] = mults.get(g, 0) + mult
+    # a voter is the key g << 32 | order; an entry's ``free`` holds (-1, key)
+    # for each group with a voter still at its start order
+    tallies = [tuple(start_above)]  # the distinct per-opponent counts, by id
+    tally_ids = {tallies[0]: 0}
+    steps: dict[tuple[int, int, int], int] = {}  # (tally, opponent, change) -> tally
+    seen: set[tuple[int, ...]] = {()}
+    stack = [((), 0, h0, h0, tuple((-1, g << 32 | g) for g in range(len(mults))))]
+    for bound in range(h0, cap + 1):
+        stack.sort(key=lambda entry: entry[2], reverse=True)  # fewest missing votes popped first
+        later: list = []  # the states going back for their next stage, all at f = bound + 1
+        deferred: list = []  # the states whose other exchanges wait for every raise of this f
+        phase = 0
+        while stack or deferred:
+            if not stack:
+                stack, deferred, phase = deferred[::-1], [], 1
+            state, t, h, f0, free = entry = stack.pop()
+            above, stage = tallies[t], bound - f0
+            now_h = h - 1 + stage  # every successor made here has f = bound
+            if stage and phase == 0:  # its exchanges other than raises wait for phase 1
+                deferred.append(entry)
+                if stage == 2:
+                    continue
+            raising = stage == 0 or phase == 0
+            worse = False  # some voter can lower the designated candidate below a needed opponent
+            for k, key in itertools.chain(enumerate(state), free):
+                if k > 0 and key == state[k - 1]:
+                    continue  # a second voter of its group at the same order
+                oid = key & 0xFFFFFFFF
+                up, down = nbrs[oid]
+                if raising:
+                    if up < 0 or (above[up] >= need) != (stage == 1):
+                        continue  # no raise of this stage
+                    if now_h == 0:
+                        return f0  # the raise leaves no vote missing
+                    if oid not in rise:
+                        rise[oid] = swap(oid, orders[oid].index(c))
+                    moves = ((rise[oid], up, 1),)
+                else:
+                    moves = []
+                    if down >= 0 and (above[down] <= need) == (stage == 2):
+                        if oid not in fall:
+                            fall[oid] = swap(oid, orders[oid].index(c) - 1)
+                        moves.append((fall[oid], down, -1))
+                    worse = worse or down >= 0 and above[down] <= need
+                    if stage == 1:
+                        if oid not in side:
+                            p = orders[oid].index(c)
+                            side[oid] = [(swap(oid, q), -1, 0)
+                                         for q in range(size - 1) if q not in (p - 1, p)]
+                        moves += side[oid]
+                g = key >> 32
+                for nid, d, delta in moves:
+                    if k < 0:
+                        at = bisect_left(state, g << 32 | nid)
+                        successor = state[:at] + (g << 32 | nid,) + state[at:]
+                    elif nid == g:
+                        successor = state[:k] + state[k + 1:]
+                    else:
+                        successor = state[:k] + (g << 32 | nid,) + state[k + 1:]
+                        if mults[g] > 1:
+                            successor = tuple(sorted(successor))
+                    if successor in seen:
                         continue
-                    k = bisect_left(rest, nid)
-                    successor = rest[:k] + (nid,) + rest[k:]
-                    if best.get(successor, inf) <= f:
-                        continue
-                    best[successor] = f
-                    moved = above
+                    seen.add(successor)
+                    nt = t
                     if delta:
-                        moved = above[:d] + (above[d] + delta,) + above[d + 1:]
-                        moved = tallies.setdefault(moved, moved)  # few distinct tallies: share them
-                    buckets.setdefault(f, []).append((successor, moved, now_h))
-        del buckets[bound]
-        bound += 1
+                        nt = steps.get((t, d, delta))
+                        if nt is None:
+                            moved = above[:d] + (above[d] + delta,) + above[d + 1:]
+                            nt = steps[t, d, delta] = tally_ids.setdefault(moved, len(tallies))
+                            if nt == len(tallies):
+                                tallies.append(moved)
+                    now_free = free
+                    if nid == g and (-1, g << 32 | g) not in free:  # back at its start order
+                        now_free = free + ((-1, g << 32 | g),)
+                    elif k < 0 and sum(x >> 32 == g for x in successor) == mults[g]:
+                        now_free = tuple(x for x in free if x[1] != key)  # its group's last left
+                    stack.append((successor, nt, now_h, bound, now_free))
+            if stage == 0 or stage == 1 and phase == 1 and worse:
+                later.append(entry)
+        stack = later
     return None
 
 

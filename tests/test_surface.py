@@ -8,8 +8,8 @@ SUBMODULES = ("elections", "scoring", "matching", "gadgets")
 
 PUBLIC = {
     "Election", "PreferenceOrder", "VoterProfile", "DodgsonTriple", "TwoERInstance",
-    "ParseError", "condorcet_winner", "deficit_vector", "pairwise_tally",
-    "parse_election", "serialize_election",
+    "ParseError", "condorcet_winner", "deficit_vector", "parse_election",
+    "serialize_election",
     "ScoreResult", "score_exact", "score_decision", "score_oracle", "all_scores",
     "is_winner", "ranks_at_least", "two_election_ranking", "apply_raises",
     "MatchingInstance", "CANONICAL_YES", "CANONICAL_NO", "has_matching",
@@ -22,7 +22,7 @@ PUBLIC = {
 
 
 def test_package_exports_exactly_the_public_names():
-    assert len(PUBLIC) == 40
+    assert len(PUBLIC) == 39
     assert set(dodgson.__all__) == PUBLIC
     assert len(dodgson.__all__) == len(PUBLIC)
 
